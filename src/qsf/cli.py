@@ -30,23 +30,27 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v != ""]
 
 
+def _sweep_rows(records) -> list:
+    """Records in sweep.csv order as comparable rows: no wall time, NaN as None."""
+    rows = sorted(records, key=lambda r: (r.q, r.beta, r.trial))
+    return [(r.q, r.beta, r.trial, None if math.isnan(r.final_distance) else r.final_distance,
+             r.diverged, r.boundary_stuck) for r in rows]
+
+
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     result = harness.run_experiment(cfg, workers=args.workers)
-    harness.write_sweep_csv(result, os.path.join(out_dir, "sweep.csv"))
+    sweep_path = os.path.join(out_dir, "sweep.csv")
+    harness.write_sweep_csv(result, sweep_path)
     harness.write_timings_csv(result, os.path.join(out_dir, "timings.csv"))
     harness.summarize(result, out_dir)
-    # Self-check: the summary cells must recompute exactly from the records.
-    for q in cfg.q_values:
-        for b in cfg.beta_values:
-            vals = [r.final_distance for r in result.cell_records(q, b) if not r.diverged]
-            if vals and not math.isclose(
-                result.cell_mean(q, b), float(np.mean(vals)), rel_tol=0.0, abs_tol=0.0
-            ):
-                print("self-check failed: summary mean mismatch", file=sys.stderr)
-                return 1
+    # Self-check: sweep.csv must read back as exactly the records of the run.
+    if _sweep_rows(harness.read_sweep_csv(sweep_path, cfg).records) != _sweep_rows(result.records):
+        print(f"self-check failed: {sweep_path} does not read back as the run's records",
+              file=sys.stderr)
+        return 1
     print(f"wrote {out_dir}/sweep.csv, summary.csv, summary_stderr.csv, timings.csv")
     return 0
 

@@ -65,16 +65,23 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
         object.__setattr__(self, "beta_values", tuple(float(b) for b in self.beta_values))
-        if any(q >= 3.0 for q in self.q_values):
+        if not all(q < 3.0 for q in self.q_values):  # also rejects NaN
             raise ConfigError("q_values must all be < 3")
-        if any(b <= 0.0 for b in self.beta_values):
+        if not all(b > 0.0 for b in self.beta_values):
             raise ConfigError("beta_values must all be > 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         dim = self.network.dim
+        opt = self.optimizer
         for name in ("box_min", "box_max", "theta0"):
-            if getattr(self.optimizer, name).shape != (dim,):
+            if getattr(opt, name).shape != (dim,):
                 raise ConfigError(f"optimizer.{name} must have length N1+N2 = {dim}")
+        if opt.num_iterations < 1 or opt.samples_per_iteration < 1:
+            raise ConfigError("optimizer.M and optimizer.L must be >= 1")
+        if not np.all(opt.box_min < opt.box_max):
+            raise ConfigError("optimizer.box_min must lie below optimizer.box_max componentwise")
+        if np.any(opt.theta0 < opt.box_min) or np.any(opt.theta0 > opt.box_max):
+            raise ConfigError("optimizer.theta0 must lie inside the box")
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ def run_single_trial(cfg: ExperimentConfig, q_index: int, beta_index: int, trial
     )
     start = time.perf_counter()
     try:
-        trace = run_qsf(network, run_cfg)
+        trace = run_qsf(network, run_cfg, keep_records=False)
     except DivergenceError:
         return TrialRecord(q, beta, trial, math.nan, True, False, time.perf_counter() - start)
     elapsed = time.perf_counter() - start
@@ -314,17 +321,49 @@ def write_full_trace(trace: RunTrace, path, target: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # config files (JSON; key names are part of the interface)
 
-_OPTIMIZER_KEYS = {"M", "L", "box_min", "box_max", "theta0", "use_block_start_z"}
-_NETWORK_KEYS = {"lambda1", "lambda2", "p_exit", "R1", "R2", "N1", "N2",
-                 "theta_target", "count_in_service"}
-_TOP_KEYS = {"q_values", "beta_values", "trials", "optimizer", "network",
-             "base_seed", "output_dir"}
+def _integer(key: str, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _number(key: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _numbers(key: str, value):
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    for i, v in enumerate(value):
+        _number(f"{key}[{i}]", v)
+
+
+def _flag(key: str, value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+
+
+def _text(key: str, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+
+
+# Each accepted key with the check of its JSON value; the key names are part
+# of the interface.
+_OPTIMIZER_KEYS = {"M": _integer, "L": _integer, "box_min": _numbers, "box_max": _numbers,
+                   "theta0": _numbers, "use_block_start_z": _flag}
+_NETWORK_KEYS = {"lambda1": _number, "lambda2": _number, "p_exit": _number, "R1": _number,
+                 "R2": _number, "N1": _integer, "N2": _integer, "theta_target": _numbers,
+                 "count_in_service": _flag}
+_TOP_KEYS = {"q_values": _numbers, "beta_values": _numbers, "trials": _integer,
+             "optimizer": None, "network": None, "base_seed": _integer, "output_dir": _text}
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse a JSON experiment config; missing keys take the benchmark defaults.
 
-    Unknown keys and out-of-range values are reported with their key path.
+    Unknown keys and malformed or out-of-range values are reported with their
+    key path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -333,7 +372,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - set(_TOP_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     opt_raw = raw.get("optimizer", {})
@@ -342,10 +381,15 @@ def load_config(path) -> ExperimentConfig:
                                    ("network", net_raw, _NETWORK_KEYS)):
         if not isinstance(keys, dict):
             raise ConfigError(f"{path}: {section} must be an object")
-        bad = set(keys) - allowed
+        bad = set(keys) - set(allowed)
         if bad:
             raise ConfigError(f"{path}: unknown keys {sorted(section + '.' + k for k in bad)}")
     try:
+        for prefix, keys, checks in (("", raw, _TOP_KEYS), ("optimizer.", opt_raw, _OPTIMIZER_KEYS),
+                                     ("network.", net_raw, _NETWORK_KEYS)):
+            for key, value in keys.items():
+                if checks[key] is not None:
+                    checks[key](prefix + key, value)
         network = QueueNetworkConfig(
             lambda1=net_raw.get("lambda1", 0.2),
             lambda2=net_raw.get("lambda2", 0.1),

@@ -86,7 +86,8 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-iteration history (length num_iterations + 1) plus the final point."""
+    """Per-iteration history (length num_iterations + 1, or empty when the
+    run did not keep it) plus the final point."""
 
     records: tuple
     final_theta: np.ndarray
@@ -113,19 +114,23 @@ def project(theta: np.ndarray, box_min: np.ndarray, box_max: np.ndarray) -> np.n
     return np.minimum(np.maximum(theta, box_min), box_max)
 
 
-def _run_loop(system: BlackBoxSystem, cfg: TwoTimescaleConfig, sample_q: float, weighted: bool) -> RunTrace:
+def _run_loop(
+    system: BlackBoxSystem, cfg: TwoTimescaleConfig, sample_q: float, weighted: bool,
+    keep_records: bool = True,
+) -> RunTrace:
     dim = cfg.dim
     pert_rng = cfg.seed.child("perturbation")
     sys_rng = cfg.seed.child("system")
     coef = (1.0 - sample_q) / (3.0 - sample_q)
+    beta, ell, guard = cfg.beta, cfg.samples_per_iteration, cfg.z_guard
     theta = cfg.theta0.copy()
     z = np.zeros(dim)
-    records = [IterationRecord(0, theta.copy(), z.copy(), math.nan)]
-    guard = cfg.z_guard
+    records = [IterationRecord(0, theta.copy(), z.copy(), math.nan)] if keep_records else None
+    step = system.step
     for n in range(cfg.num_iterations):
         eta = sample_vector(pert_rng, sample_q, dim)
         w = 1.0 / (1.0 - coef * float(eta @ eta)) if weighted else 1.0
-        system.set_parameter(theta + cfg.beta * eta)
+        system.set_parameter(theta + beta * eta)
         b = step_size_b(n)
         alpha = 1.0 - b
         z_start = z
@@ -134,29 +139,30 @@ def _run_loop(system: BlackBoxSystem, cfg: TwoTimescaleConfig, sample_q: float, 
         # Z after the block is alpha^L Z + b w/beta * s * eta.
         s = 0.0
         cost_sum = 0.0
-        step = system.step
-        for _ in range(cfg.samples_per_iteration):
+        for _ in range(ell):
             h = step(sys_rng)
             cost_sum += h
             s = alpha * s + h
-        z = (alpha**cfg.samples_per_iteration) * z + (b * w / cfg.beta) * s * eta
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > guard:
+        z = (alpha**ell) * z + (b * w / beta) * s * eta
+        if not np.abs(z).max() <= guard:  # also true for a NaN or infinite component
             raise DivergenceError(iteration=n, perturbation=eta, cost=h, z=z)
         z_update = z_start if cfg.use_block_start_z else z
         theta = project(theta - step_size_a(n) * z_update, cfg.box_min, cfg.box_max)
-        records.append(
-            IterationRecord(n + 1, theta.copy(), z.copy(), cost_sum / cfg.samples_per_iteration)
-        )
-    return RunTrace(records=tuple(records), final_theta=theta)
+        if records is not None:
+            records.append(IterationRecord(n + 1, theta.copy(), z.copy(), cost_sum / ell))
+    return RunTrace(records=tuple(records or ()), final_theta=theta)
 
 
-def run_qsf(system: BlackBoxSystem, cfg: TwoTimescaleConfig) -> RunTrace:
+def run_qsf(system: BlackBoxSystem, cfg: TwoTimescaleConfig, *, keep_records: bool = True) -> RunTrace:
     """Run the weighted-perturbation algorithm; deterministic given cfg.seed.
+
+    With ``keep_records=False`` the returned trace holds only the final
+    point, for callers such as the sweep that need nothing else.
 
     Raises DivergenceError (with the failing iteration, perturbation and cost)
     when the tracker leaves the finite guard band.
     """
-    return _run_loop(system, cfg, sample_q=cfg.q, weighted=True)
+    return _run_loop(system, cfg, sample_q=cfg.q, weighted=True, keep_records=keep_records)
 
 
 def run_gaussian_sf(system: BlackBoxSystem, cfg: TwoTimescaleConfig) -> RunTrace:
@@ -192,8 +198,9 @@ def fast_timescale_diagnostic(
         s = 0.0
         step = system.step
         for _ in range(cfg.samples_per_iteration):
-            s = alpha * s + step(sys_rng)
+            h = step(sys_rng)
+            s = alpha * s + h
         z = (alpha**cfg.samples_per_iteration) * z + (b * w / cfg.beta) * s * eta
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > cfg.z_guard:
-            raise DivergenceError(iteration=n, perturbation=eta, cost=s, z=z)
+        if not np.abs(z).max() <= cfg.z_guard:
+            raise DivergenceError(iteration=n, perturbation=eta, cost=h, z=z)
     return z

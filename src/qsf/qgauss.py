@@ -191,6 +191,15 @@ def pdf_batch(xs: np.ndarray, spec: QGaussianSpec) -> np.ndarray:
     return np.exp(np.log(br) / (1.0 - q)) / (beta * k)
 
 
+def _box_muller(rng: RngStream, q_prime: float, n: int) -> np.ndarray:
+    """n generalized Box-Muller draws, without the support-boundary redraw."""
+    u1 = rng.random_array(n)
+    u2 = rng.random_array(n)
+    r2 = -2.0 * _q_log_array(u1, q_prime)
+    np.maximum(r2, 0.0, out=r2)  # guard rounding at u1 near the q'<1 cap
+    return np.sqrt(r2) * np.cos(2.0 * math.pi * u2)
+
+
 def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
     """n independent draws from the standard (beta=1, mu=0) distribution.
 
@@ -200,21 +209,16 @@ def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
     if not q < 3.0:
         raise ValueError(f"sampling requires q < 3 (got q={q})")
     q_prime = (1.0 + q) / (3.0 - q)
-    out = np.empty(n, dtype=np.float64)
-    pending = np.arange(n)
-    radius = cutoff_radius(q) if q < 1.0 else math.inf
+    z = _box_muller(rng, q_prime, n)
+    if q >= 1.0:
+        return z
+    radius = cutoff_radius(q)
+    pending = (radius - np.abs(z) < BOUNDARY_MARGIN).nonzero()[0]
     while pending.size:
-        m = pending.size
-        u1 = rng.random_array(m)
-        u2 = rng.random_array(m)
-        r2 = -2.0 * _q_log_array(u1, q_prime)
-        np.maximum(r2, 0.0, out=r2)  # guard rounding at u1 near the q'<1 cap
-        z = np.sqrt(r2) * np.cos(2.0 * math.pi * u2)
-        out[pending] = z
-        if math.isinf(radius):
-            break
-        pending = pending[radius - np.abs(z) < BOUNDARY_MARGIN]
-    return out
+        redraw = _box_muller(rng, q_prime, pending.size)
+        z[pending] = redraw
+        pending = pending[radius - np.abs(redraw) < BOUNDARY_MARGIN]
+    return z
 
 
 def sample_scalar(rng: RngStream, q: float) -> float:

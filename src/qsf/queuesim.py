@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import log
 
 import numpy as np
 
@@ -33,6 +34,16 @@ EVENT_COMPLETION_1 = "svc1"
 EVENT_COMPLETION_2 = "svc2"
 EVENT_ARRIVAL_1 = "arr1"
 EVENT_ARRIVAL_2 = "arr2"
+
+# Event codes, in the tie-break order of step().
+_EV_SVC1, _EV_SVC2, _EV_ARR1, _EV_ARR2 = range(4)
+_EVENT_NAMES = (EVENT_COMPLETION_1, EVENT_COMPLETION_2, EVENT_ARRIVAL_1, EVENT_ARRIVAL_2)
+_EVENT_NODES = (1, 2, 1, 2)
+
+# Streams, as indices into QueueNetwork._ahead, and their lookahead chunk sizes.
+_ARR1, _ARR2, _SVC1, _SVC2, _ROUTE = range(5)
+_FIRST_CHUNK = 16
+_MAX_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -92,12 +103,20 @@ def service_time(u: float, theta_i: np.ndarray, theta_bar_i: np.ndarray, R_i: fl
 
 
 class QueueNetwork:
-    """Mutable single-threaded simulator instance; one per trial."""
+    """Mutable single-threaded simulator instance; one per trial.
+
+    Each of the five streams is read through its own lookahead list, filled
+    by :meth:`RngStream.random_list` in chunks that start at ``_FIRST_CHUNK``
+    and double up to ``_MAX_CHUNK``. A list holds its chunk reversed, so the
+    next draw is ``pop()``-ed off the end. Every draw of a stream, including
+    the first arrivals of :meth:`reset`, comes through its list, so each
+    stream is consumed in exactly the order of one ``random()`` per draw.
+    """
 
     __slots__ = (
-        "config", "_arr1", "_arr2", "_svc1", "_svc2", "_route",
+        "config", "_arr1", "_arr2", "_svc1", "_svc2", "_route", "_ahead", "_chunk",
         "clock", "queue1", "queue2", "_ta1", "_ta2", "_tc1", "_tc2",
-        "_scale1", "_scale2", "_theta",
+        "_scale1", "_scale2", "_theta", "_lambda1", "_lambda2", "_p_exit", "_count_in_service",
         "external_arrivals", "departures", "node1_completions", "node2_completions", "exits",
         "_trace",
     )
@@ -109,19 +128,37 @@ class QueueNetwork:
         self._svc1 = rng.child("service", 1)
         self._svc2 = rng.child("service", 2)
         self._route = rng.child("routing")
+        self._ahead = ([], [], [], [], [])  # indexed by _ARR1 ... _ROUTE
+        self._chunk = [_FIRST_CHUNK] * 5
         self._trace = [] if record_events else None
         self._theta = config.theta_target.copy()
         self._scale1 = 1.0 / config.R1
         self._scale2 = 1.0 / config.R2
+        self._lambda1 = config.lambda1
+        self._lambda2 = config.lambda2
+        self._p_exit = config.p_exit
+        self._count_in_service = config.count_in_service
         self.reset()
+
+    def _refill(self, k: int) -> float:
+        """Refill stream ``k``'s empty lookahead list and pop its next draw."""
+        n = self._chunk[k]
+        self._chunk[k] = min(2 * n, _MAX_CHUNK)
+        stream = (self._arr1, self._arr2, self._svc1, self._svc2, self._route)[k]
+        ahead = self._ahead[k]
+        ahead.extend(reversed(stream.random_list(n)))
+        return ahead.pop()
 
     def reset(self) -> None:
         """Empty both queues, zero the clock, draw fresh first arrivals."""
+        ahead = self._ahead
         self.clock = 0.0
         self.queue1 = 0
         self.queue2 = 0
-        self._ta1 = self._arr1.exponential(self.config.lambda1)
-        self._ta2 = self._arr2.exponential(self.config.lambda2)
+        u1 = ahead[_ARR1].pop() if ahead[_ARR1] else self._refill(_ARR1)
+        self._ta1 = -log(u1) / self._lambda1
+        u2 = ahead[_ARR2].pop() if ahead[_ARR2] else self._refill(_ARR2)
+        self._ta2 = -log(u2) / self._lambda2
         self._tc1 = _INF
         self._tc2 = _INF
         self.external_arrivals = 0
@@ -173,55 +210,71 @@ class QueueNetwork:
         fixed order: node-1 completion, node-2 completion, node-1 arrival,
         node-2 arrival.
         """
+        # Each branch reads and writes only the state its event touches; the
+        # next uniform of a stream is `ahead.pop() if ahead else self._refill(k)`.
         t = self._tc1
-        ev = 0
+        ev = _EV_SVC1
         if self._tc2 < t:
-            t, ev = self._tc2, 1
+            t, ev = self._tc2, _EV_SVC2
         if self._ta1 < t:
-            t, ev = self._ta1, 2
+            t, ev = self._ta1, _EV_ARR1
         if self._ta2 < t:
-            t, ev = self._ta2, 3
+            t, ev = self._ta2, _EV_ARR2
         self.clock = t
-        if ev == 2:  # external arrival at node 1
-            self.queue1 += 1
+        if ev == _EV_ARR1:
+            q1 = self.queue1 = self.queue1 + 1
+            q2 = self.queue2
             self.external_arrivals += 1
-            self._ta1 = t + self._arr1.exponential(self.config.lambda1)
-            if self.queue1 == 1:
-                self._tc1 = t + self._svc1.random() * self._scale1
-            name, node = EVENT_ARRIVAL_1, 1
-        elif ev == 3:  # external arrival at node 2
-            self.queue2 += 1
+            ahead = self._ahead[_ARR1]
+            self._ta1 = t + (-log(ahead.pop() if ahead else self._refill(_ARR1)) / self._lambda1)
+            if q1 == 1:
+                ahead = self._ahead[_SVC1]
+                self._tc1 = t + (ahead.pop() if ahead else self._refill(_SVC1)) * self._scale1
+        elif ev == _EV_ARR2:
+            q1 = self.queue1
+            q2 = self.queue2 = self.queue2 + 1
             self.external_arrivals += 1
-            self._ta2 = t + self._arr2.exponential(self.config.lambda2)
-            if self.queue2 == 1:
-                self._tc2 = t + self._svc2.random() * self._scale2
-            name, node = EVENT_ARRIVAL_2, 2
-        elif ev == 0:  # node-1 service completion: customer moves to node 2
-            self.queue1 -= 1
+            ahead = self._ahead[_ARR2]
+            self._ta2 = t + (-log(ahead.pop() if ahead else self._refill(_ARR2)) / self._lambda2)
+            if q2 == 1:
+                ahead = self._ahead[_SVC2]
+                self._tc2 = t + (ahead.pop() if ahead else self._refill(_SVC2)) * self._scale2
+        elif ev == _EV_SVC1:  # the customer moves on to node 2
+            q1 = self.queue1 = self.queue1 - 1
             self.node1_completions += 1
-            self._tc1 = (t + self._svc1.random() * self._scale1) if self.queue1 > 0 else _INF
-            self.queue2 += 1
-            if self.queue2 == 1:
-                self._tc2 = t + self._svc2.random() * self._scale2
-            name, node = EVENT_COMPLETION_1, 1
-        else:  # node-2 service completion: exit or feed back to node 1
-            self.queue2 -= 1
+            if q1 > 0:
+                ahead = self._ahead[_SVC1]
+                self._tc1 = t + (ahead.pop() if ahead else self._refill(_SVC1)) * self._scale1
+            else:
+                self._tc1 = _INF
+            q2 = self.queue2 = self.queue2 + 1
+            if q2 == 1:
+                ahead = self._ahead[_SVC2]
+                self._tc2 = t + (ahead.pop() if ahead else self._refill(_SVC2)) * self._scale2
+        else:  # the customer exits or feeds back to node 1
+            q2 = self.queue2 = self.queue2 - 1
             self.node2_completions += 1
-            self._tc2 = (t + self._svc2.random() * self._scale2) if self.queue2 > 0 else _INF
-            if self._route.random() < self.config.p_exit:
+            if q2 > 0:
+                ahead = self._ahead[_SVC2]
+                self._tc2 = t + (ahead.pop() if ahead else self._refill(_SVC2)) * self._scale2
+            else:
+                self._tc2 = _INF
+            ahead = self._ahead[_ROUTE]
+            if (ahead.pop() if ahead else self._refill(_ROUTE)) < self._p_exit:
+                q1 = self.queue1
                 self.departures += 1
                 self.exits += 1
             else:
-                self.queue1 += 1
-                if self.queue1 == 1:
-                    self._tc1 = t + self._svc1.random() * self._scale1
-            name, node = EVENT_COMPLETION_2, 2
-        cost = float(self.queue1 + self.queue2)
-        if not self.config.count_in_service:
-            cost = float(max(self.queue1 - (self._tc1 != _INF), 0)
-                         + max(self.queue2 - (self._tc2 != _INF), 0))
+                q1 = self.queue1 = self.queue1 + 1
+                if q1 == 1:
+                    ahead = self._ahead[_SVC1]
+                    self._tc1 = t + (ahead.pop() if ahead else self._refill(_SVC1)) * self._scale1
+        if self._count_in_service:
+            cost = float(q1 + q2)
+        else:
+            cost = float(max(q1 - (self._tc1 != _INF), 0) + max(q2 - (self._tc2 != _INF), 0))
         if self._trace is not None:
-            self._trace.append((self.clock, name, node, self.queue1, self.queue2, cost))
+            self._trace.append((t, _EVENT_NAMES[ev], _EVENT_NODES[ev], q1, q2, cost))
         return cost
 
     @property

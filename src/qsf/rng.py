@@ -15,7 +15,9 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_FIRST_FILL = 16  # a fresh stream's first buffer; later fills double up to _BUFFER
 _BUFFER = 8192
+_EMPTY = np.empty(0)
 
 
 def derive_stream_id(seed: int, stream_id: int, tags: tuple) -> int:
@@ -28,20 +30,24 @@ def derive_stream_id(seed: int, stream_id: int, tags: tuple) -> int:
 class RngStream:
     """Single-owner uniform source over the open interval (0, 1).
 
-    Scalar draws are served from an internal buffer, so interleaving
-    scalar and array requests is deterministic but the raw generator is
-    consumed in blocks. One stream must not be shared across threads.
+    Scalar draws are served from an internal buffer that starts small and
+    doubles up to ``_BUFFER`` values, so a stream that is drawn from a few
+    times never pays for a large fill. Philox yields its doubles in the same
+    order whatever the chunk sizes, so interleaving scalar, list and array
+    requests is deterministic: together they read one logical sequence. One
+    stream must not be shared across threads.
     """
 
-    __slots__ = ("seed", "stream_id", "_gen", "_buf", "_pos")
+    __slots__ = ("seed", "stream_id", "_gen", "_buf", "_pos", "_fill")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
         key = (self.seed << 64) | self.stream_id
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        self._buf = None
+        self._buf = _EMPTY
         self._pos = 0
+        self._fill = _FIRST_FILL
 
     def child(self, *tags) -> "RngStream":
         """Derive an independent stream keyed by ``tags`` (ints or strings)."""
@@ -51,33 +57,65 @@ class RngStream:
         """One uniform draw from the open interval (0, 1)."""
         buf, pos = self._buf, self._pos
         while True:
-            if buf is None or pos >= _BUFFER:
-                buf = self._buf = self._gen.random(_BUFFER)
-                pos = 0
+            if pos >= len(buf):
+                buf, pos = self._refill(), 0
             v = buf[pos]
             pos += 1
             if v > 0.0:
                 self._pos = pos
                 return float(v)
 
-    def random_array(self, n: int) -> np.ndarray:
-        """``n`` uniforms in (0, 1), consumed from the same logical stream."""
+    def _refill(self) -> np.ndarray:
+        """Replace the spent buffer with the next fill; double the fill after."""
+        buf = self._buf = self._gen.random(self._fill)
+        self._pos = 0
+        self._fill = min(2 * self._fill, _BUFFER)
+        return buf
+
+    def _raw(self, n: int) -> np.ndarray:
+        """The next ``n`` values of the logical sequence, exact zeros included.
+
+        What is left of the buffer comes first. A remainder at least as long
+        as the next buffer fill is drawn straight from the generator, which
+        leaves the buffer empty and in step; a shorter one goes through a
+        buffer refill.
+        """
+        buf, pos = self._buf, self._pos
+        avail = len(buf) - pos
+        if n <= avail:
+            self._pos = pos + n
+            return buf[pos : pos + n].copy()
         out = np.empty(n, dtype=np.float64)
-        filled = 0
-        while filled < n:
-            if self._buf is None or self._pos >= _BUFFER:
-                self._buf = self._gen.random(_BUFFER)
-                self._pos = 0
-            take = min(n - filled, _BUFFER - self._pos)
-            out[filled : filled + take] = self._buf[self._pos : self._pos + take]
-            self._pos += take
-            filled += take
-        bad = out <= 0.0
-        while bad.any():
-            idx = np.flatnonzero(bad)
-            for i in idx:
+        out[:avail] = buf[pos:]
+        rest = n - avail
+        if rest >= self._fill:
+            self._buf, self._pos = _EMPTY, 0
+            self._gen.random(out=out[avail:])
+        else:
+            out[avail:] = self._refill()[:rest]
+            self._pos = rest
+        return out
+
+    def random_list(self, n: int) -> list:
+        """The next ``n`` draws of :meth:`random`, as a Python list."""
+        out = self._raw(n)
+        if out.all():
+            return out.tolist()
+        vals = [v for v in out.tolist() if v > 0.0]  # skip exact zeros, as random() does
+        while len(vals) < n:
+            vals.append(self.random())
+        return vals
+
+    def random_array(self, n: int) -> np.ndarray:
+        """``n`` uniforms in (0, 1), consumed from the same logical stream.
+
+        An exact zero is replaced in place by a scalar draw made after the
+        whole array.
+        """
+        out = self._raw(n)
+        if not out.all():
+            for i in np.flatnonzero(out == 0.0):
                 out[i] = self.random()
-            bad = out <= 0.0
         return out
 
     def exponential(self, rate: float) -> float:

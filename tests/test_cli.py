@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qsf import harness
 from qsf.cli import main
 
 
@@ -31,6 +32,17 @@ def test_run_subcommand(tiny_config_file, tmp_path, capsys):
     sweep = (out_dir / "sweep.csv").read_text().strip().split("\n")
     assert sweep[0] == "q,beta,trial,final_distance,diverged,boundary_stuck"
     assert len(sweep) == 3
+
+
+def test_run_self_check_reads_back_sweep_csv(tiny_config_file, monkeypatch, capsys):
+    write = harness.write_sweep_csv
+
+    def drop_last_row(result, path):
+        write(harness.SweepResult(result.config, result.records[:-1]), path)
+
+    monkeypatch.setattr(harness, "write_sweep_csv", drop_last_row)
+    assert main(["run", str(tiny_config_file)]) == 1
+    assert "self-check failed" in capsys.readouterr().err
 
 
 def test_summarize_subcommand(tiny_config_file, tmp_path, capsys):

@@ -78,6 +78,20 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"trials": "3"}', "trials"),
+    ('{"optimizer": {"M": 2.5}}', "optimizer.M"),
+    ('{"q_values": [NaN]}', r"q_values\[0\]"),
+    ('{"optimizer": {"M": 0}}', "optimizer.M"),
+    ('{"optimizer": {"theta0": [6, 5, 5, 5]}}', "optimizer.theta0"),
+])
+def test_config_rejects_malformed_values_by_key(tmp_path, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
 def test_config_round_trip(tmp_path):
     cfg = tiny_config(q_values=(0.5, 1.2), beta_values=(0.1, 0.25), base_seed=42)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

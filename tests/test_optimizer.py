@@ -226,6 +226,39 @@ def test_divergence_guard_records_diagnostics():
     assert np.max(np.abs(err.z)) > 1e6 or not np.all(np.isfinite(err.z))
 
 
+class NanSystem(ConstantSystem):
+    def step(self, rng=None):
+        return math.nan
+
+
+def test_divergence_guard_trips_on_nan_and_reports_last_cost():
+    with pytest.raises(DivergenceError) as exc_info:
+        run_qsf(NanSystem(), make_cfg(m=10, ell=3, seed=14))
+    assert exc_info.value.iteration == 0 and math.isnan(exc_info.value.cost)
+    system = ExplodingSystem()
+    with pytest.raises(DivergenceError) as exc_info:
+        run_qsf(system, make_cfg(m=400, ell=5, seed=14, z_guard=1e6))
+    assert exc_info.value.cost == system.cost
+
+
+def test_fast_timescale_divergence_reports_last_cost():
+    system = ExplodingSystem()
+    cfg = make_cfg(m=400, ell=5, seed=14, z_guard=1e6)
+    with pytest.raises(DivergenceError) as exc_info:
+        fast_timescale_diagnostic(system, np.array([2.0]), cfg)
+    assert exc_info.value.cost == system.cost
+    with pytest.raises(DivergenceError):
+        fast_timescale_diagnostic(NanSystem(), np.array([2.0]), cfg)
+
+
+def test_run_without_records_keeps_the_final_point():
+    cfg = make_cfg(q=0.9, m=60, ell=4, seed=17, dim=3)
+    full = run_qsf(QuadraticSystem(), cfg)
+    bare = run_qsf(QuadraticSystem(), cfg, keep_records=False)
+    assert bare.records == ()
+    assert np.array_equal(bare.final_theta, full.final_theta)
+
+
 def test_distances_helper():
     cfg = make_cfg(m=20, ell=2, seed=15)
     trace = run_qsf(QuadraticSystem(), cfg)

@@ -241,6 +241,30 @@ def test_sample_scalar_is_single_batch_draw():
     assert x == sample_batch(RngStream(5, 17), 0.5, 1)[0]
 
 
+class ScriptedUniforms:
+    """Stand-in stream whose random_array calls return the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = [np.asarray(a, dtype=float) for a in arrays]
+
+    def random_array(self, n):
+        out = self.arrays.pop(0)
+        assert out.shape == (n,)
+        return out
+
+
+def test_boundary_draws_are_redrawn_in_place():
+    # u1 -> 0 with cos(2 pi u2) = -1 lands on the q = 0 support radius sqrt(3)
+    radius = qgauss.cutoff_radius(0.0)
+    rng = ScriptedUniforms([0.3, 1e-300, 0.7], [0.1, 0.5, 0.9], [0.4], [0.2])
+    z = sample_batch(rng, 0.0, 3)
+    assert not rng.arrays
+    first = sample_batch(ScriptedUniforms([0.3, 0.7], [0.1, 0.9]), 0.0, 2)
+    redraw = sample_batch(ScriptedUniforms([0.4], [0.2]), 0.0, 1)
+    assert np.array_equal(z, [first[0], redraw[0], first[1]])
+    assert np.all(np.abs(z) < radius)
+
+
 def test_q_expectation_mc_signals_nonconvergence():
     # an absurd tolerance must be reported as failure, not silently returned
     with pytest.raises(ConvergenceError):

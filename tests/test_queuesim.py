@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -219,6 +220,94 @@ def test_in_progress_service_unaffected():
     before = net.state.next_completion1
     net.set_parameter(np.array([5.0, 5.0, 1.0, 1.0]))
     assert net.state.next_completion1 == before
+
+
+# ---------------------------------------------------------------------------
+# lookahead lists against one random() call per draw
+
+
+class ReferenceNetwork:
+    """The feedback network drawn with one RngStream.random() per uniform."""
+
+    def __init__(self, config, rng):
+        self.cfg = config
+        self.arr1, self.arr2 = rng.child("arrival", 1), rng.child("arrival", 2)
+        self.svc1, self.svc2 = rng.child("service", 1), rng.child("service", 2)
+        self.route = rng.child("routing")
+        self.scale1, self.scale2 = 1.0 / config.R1, 1.0 / config.R2
+        self.trace = []
+        self.reset()
+
+    def reset(self):
+        self.q1 = self.q2 = 0
+        self.ta1 = self.arr1.exponential(self.cfg.lambda1)
+        self.ta2 = self.arr2.exponential(self.cfg.lambda2)
+        self.tc1 = self.tc2 = math.inf
+
+    def set_parameter(self, theta):
+        gap = theta - self.cfg.theta_target
+        g1, g2 = gap[: self.cfg.N1], gap[self.cfg.N1 :]
+        self.scale1 = (1.0 + float(g1 @ g1)) / self.cfg.R1
+        self.scale2 = (1.0 + float(g2 @ g2)) / self.cfg.R2
+
+    def step(self):
+        t, ev = min((self.tc1, 0), (self.tc2, 1), (self.ta1, 2), (self.ta2, 3))
+        if ev == 2:
+            self.q1 += 1
+            self.ta1 = t + self.arr1.exponential(self.cfg.lambda1)
+            if self.q1 == 1:
+                self.tc1 = t + self.svc1.random() * self.scale1
+        elif ev == 3:
+            self.q2 += 1
+            self.ta2 = t + self.arr2.exponential(self.cfg.lambda2)
+            if self.q2 == 1:
+                self.tc2 = t + self.svc2.random() * self.scale2
+        elif ev == 0:
+            self.q1 -= 1
+            self.tc1 = t + self.svc1.random() * self.scale1 if self.q1 else math.inf
+            self.q2 += 1
+            if self.q2 == 1:
+                self.tc2 = t + self.svc2.random() * self.scale2
+        else:
+            self.q2 -= 1
+            self.tc2 = t + self.svc2.random() * self.scale2 if self.q2 else math.inf
+            if not self.route.random() < self.cfg.p_exit:
+                self.q1 += 1
+                if self.q1 == 1:
+                    self.tc1 = t + self.svc1.random() * self.scale1
+        if self.cfg.count_in_service:
+            cost = float(self.q1 + self.q2)
+        else:
+            cost = float(max(self.q1 - (self.tc1 != math.inf), 0)
+                         + max(self.q2 - (self.tc2 != math.inf), 0))
+        name = ("svc1", "svc2", "arr1", "arr2")[ev]
+        self.trace.append((t, name, 1 + ev % 2, self.q1, self.q2, cost))
+        return cost
+
+
+@pytest.mark.parametrize("count_in_service", [True, False])
+def test_lookahead_lists_match_one_draw_per_call(count_in_service):
+    cfg = QueueNetworkConfig(count_in_service=count_in_service)
+    net = QueueNetwork(cfg, RngStream(21), record_events=True)
+    ref = ReferenceNetwork(cfg, RngStream(21))
+    thetas = np.random.default_rng(0).uniform(-1.0, 6.0, size=(100, 4))
+    costs, ref_costs, trace = [], [], []
+    # 100 blocks of 500 events: every stream refills its list past the 1024 cap
+    for block, theta in enumerate(thetas):
+        if block in (33, 67):
+            trace += net.event_trace
+            net.reset()
+            ref.reset()
+        net.set_parameter(theta)
+        ref.set_parameter(theta)
+        costs += [net.step() for _ in range(500)]
+        ref_costs += [ref.step() for _ in range(500)]
+    trace += net.event_trace
+    assert costs == ref_costs
+    assert trace == ref.trace
+    # each event of a kind took at least one draw from its stream, and the
+    # chunks 16, 32, ..., 1024 hold 2032 draws
+    assert min(Counter(e[1] for e in trace).values()) > 2032
 
 
 # ---------------------------------------------------------------------------

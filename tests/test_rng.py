@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,60 @@ def test_scalar_and_array_draws_share_one_stream():
     b = RngStream(3, 5)
     mixed = [a.random() for _ in range(5)] + list(a.random_array(7))
     assert np.array_equal(np.array(mixed), b.random_array(12))
+
+
+@pytest.mark.parametrize("seed,sid", [(3, 5), (2**64 - 1, 12345)])
+def test_mixed_requests_read_the_plain_philox_sequence(seed, sid):
+    # Scalar, list and array requests of every size, across buffer fills and
+    # bulk array draws, read one sequence: the plain generator's on the same key.
+    s = RngStream(seed, sid)
+    got = []
+    for n in (1, 3, 16, 17, 5, 100, 9000, 2, 30000, 7, 1025, 4):
+        got += [s.random() for _ in range(n % 50)]
+        got += s.random_list(n)
+        got += list(s.random_array(n))
+    want = np.random.Generator(np.random.Philox(key=(seed << 64) | sid)).random(len(got))
+    assert np.array_equal(np.array(got), want)
+
+
+class ScriptedGenerator:
+    """Stand-in for the Philox generator that hands out fixed values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None, out=None):
+        n = size if out is None else len(out)
+        vals, self.values = self.values[:n], self.values[n:]
+        if out is None:
+            return np.array(vals)
+        out[:] = vals
+        return out
+
+
+def scripted_stream(values):
+    s = RngStream(0)
+    s._gen = ScriptedGenerator(values)
+    return s
+
+
+def test_exact_zeros_are_skipped_by_scalar_and_list_draws():
+    values = [0.5, 0.0, 0.25] + [0.0] * 3 + [i / 100 for i in range(1, 100)]
+    singles = scripted_stream(values)
+    want = [singles.random() for _ in range(40)]
+    assert 0.0 not in want and want[:3] == [0.5, 0.25, 0.01]
+    lists = scripted_stream(values)
+    assert lists.random_list(2) + lists.random_list(20) + lists.random_list(18) == want
+
+
+def test_exact_zero_in_array_is_replaced_after_the_array():
+    arr = scripted_stream([0.5, 0.0, 0.25, 0.75, 0.125] + [0.3] * 20).random_array(4)
+    assert list(arr) == [0.5, 0.125, 0.25, 0.75]
+
+
+def test_random_list_returns_python_floats():
+    vals = RngStream(8).random_list(20)
+    assert len(vals) == 20 and all(type(v) is float and 0.0 < v < 1.0 for v in vals)
 
 
 def test_distinct_stream_ids_decorrelate():
