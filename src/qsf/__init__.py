@@ -3,70 +3,10 @@
 Gradient-free stochastic optimization driven by heavy-tailed (or compactly
 supported) perturbations, with a two-timescale projected update loop and a
 two-node feedback queueing network as the reference black box.
-"""
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DivergenceError,
-    QsfError,
-    QuadratureError,
-    SupportBoundaryError,
-)
-from .harness import (
-    ExperimentConfig,
-    OptimizerSettings,
-    SweepResult,
-    TrialRecord,
-    emit_trace,
-    load_config,
-    run_experiment,
-    save_config,
-    summarize,
-    trace_run,
-    write_full_trace,
-    write_sweep_csv,
-)
-from .optimizer import (
-    BlackBoxSystem,
-    IterationRecord,
-    RunTrace,
-    TwoTimescaleConfig,
-    fast_timescale_diagnostic,
-    project,
-    run_gaussian_sf,
-    run_qsf,
-    step_size_a,
-    step_size_b,
-)
-from .qgauss import (
-    QGaussianSpec,
-    SupportRegion,
-    cutoff_radius,
-    lambda_q,
-    lambda_q_mc,
-    normalizing_constant,
-    pdf,
-    q_expectation,
-    q_log,
-    quadrature_cdf,
-    sample_scalar,
-    sample_vector,
-    support,
-    tsallis_entropy,
-)
-from .queuesim import QueueNetwork, QueueNetworkConfig, QueueState, service_time
-from .rng import RngStream
-from .sfgrad import (
-    GradEstimate,
-    GradEstimatorConfig,
-    KernelPropertyReport,
-    estimate_gradient,
-    escort_identity_check,
-    sf_weight,
-    smoothed_gradient_1d,
-    smoothed_value,
-    verify_kernel_properties,
-)
+The API lives in the submodules (``qsf.qgauss``, ``qsf.sfgrad``,
+``qsf.optimizer``, ``qsf.queuesim``, ``qsf.harness``, ``qsf.rng``,
+``qsf.errors``); import names from them.
+"""
 
 __version__ = "0.1.0"

@@ -84,7 +84,7 @@ class ExperimentConfig:
             raise ConfigError("optimizer.theta0 must lie inside the box")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a full grid holds thousands; keep each small
 class TrialRecord:
     q: float
     beta: float
@@ -130,24 +130,30 @@ def _initial_distance(cfg: ExperimentConfig) -> float:
     return float(np.linalg.norm(cfg.optimizer.theta0 - cfg.network.theta_target))
 
 
-def run_single_trial(cfg: ExperimentConfig, q_index: int, beta_index: int, trial: int) -> TrialRecord:
-    """One (q, beta, trial) cell: fresh network, fresh streams, one optimizer run."""
-    q = cfg.q_values[q_index]
-    beta = cfg.beta_values[beta_index]
+def _build_trial(
+    cfg: ExperimentConfig, q_index: int, beta_index: int, trial: int
+) -> tuple[QueueNetwork, TwoTimescaleConfig]:
+    """The fresh network and optimizer config of one (q, beta, trial) cell."""
     cell = derive_cell_stream(cfg.base_seed, q_index, beta_index, trial)
-    network = QueueNetwork(cfg.network, cell.child("network"))
     opt = cfg.optimizer
     run_cfg = TwoTimescaleConfig(
         num_iterations=opt.num_iterations,
         samples_per_iteration=opt.samples_per_iteration,
-        q=q,
-        beta=beta,
+        q=cfg.q_values[q_index],
+        beta=cfg.beta_values[beta_index],
         box_min=opt.box_min,
         box_max=opt.box_max,
         theta0=opt.theta0,
         seed=cell.child("optimizer"),
         use_block_start_z=opt.use_block_start_z,
     )
+    return QueueNetwork(cfg.network, cell.child("network")), run_cfg
+
+
+def run_single_trial(cfg: ExperimentConfig, q_index: int, beta_index: int, trial: int) -> TrialRecord:
+    """One (q, beta, trial) cell: fresh network, fresh streams, one optimizer run."""
+    network, run_cfg = _build_trial(cfg, q_index, beta_index, trial)
+    q, beta = run_cfg.q, run_cfg.beta
     start = time.perf_counter()
     try:
         trace = run_qsf(network, run_cfg, keep_records=False)
@@ -155,6 +161,7 @@ def run_single_trial(cfg: ExperimentConfig, q_index: int, beta_index: int, trial
         return TrialRecord(q, beta, trial, math.nan, True, False, time.perf_counter() - start)
     elapsed = time.perf_counter() - start
     final = trace.final_theta
+    opt = cfg.optimizer
     dist = float(np.linalg.norm(final - cfg.network.theta_target))
     on_boundary = bool(np.any(final == opt.box_min) or np.any(final == opt.box_max))
     stuck = on_boundary and dist > _initial_distance(cfg)
@@ -194,20 +201,7 @@ def trace_run(cfg: ExperimentConfig, q: float, beta: float, trial: int) -> RunTr
         bi = cfg.beta_values.index(float(beta))
     except ValueError as exc:
         raise ConfigError(f"(q={q}, beta={beta}) is not on the sweep grid") from exc
-    cell = derive_cell_stream(cfg.base_seed, qi, bi, trial)
-    network = QueueNetwork(cfg.network, cell.child("network"))
-    opt = cfg.optimizer
-    run_cfg = TwoTimescaleConfig(
-        num_iterations=opt.num_iterations,
-        samples_per_iteration=opt.samples_per_iteration,
-        q=float(q),
-        beta=float(beta),
-        box_min=opt.box_min,
-        box_max=opt.box_max,
-        theta0=opt.theta0,
-        seed=cell.child("optimizer"),
-        use_block_start_z=opt.use_block_start_z,
-    )
+    network, run_cfg = _build_trial(cfg, qi, bi, trial)
     return run_qsf(network, run_cfg)
 
 

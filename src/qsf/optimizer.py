@@ -21,7 +21,9 @@ from typing import Protocol
 import numpy as np
 
 from .errors import DivergenceError
-from .qgauss import sample_vector
+# sample_vector stays importable from here: perfbench's tracer patches it in
+# every module that imported it by name.
+from .qgauss import sample_vector, sample_vectors  # noqa: F401
 from .rng import RngStream
 
 Z_GUARD_DEFAULT = 1e12
@@ -87,10 +89,11 @@ class IterationRecord:
 @dataclass(frozen=True)
 class RunTrace:
     """Per-iteration history (length num_iterations + 1, or empty when the
-    run did not keep it) plus the final point."""
+    run did not keep it) plus the final point and tracker."""
 
     records: tuple
     final_theta: np.ndarray
+    final_z: np.ndarray
 
     def thetas(self) -> np.ndarray:
         return np.stack([r.theta for r in self.records])
@@ -116,21 +119,38 @@ def project(theta: np.ndarray, box_min: np.ndarray, box_max: np.ndarray) -> np.n
 
 def _run_loop(
     system: BlackBoxSystem, cfg: TwoTimescaleConfig, sample_q: float, weighted: bool,
-    keep_records: bool = True,
+    keep_records: bool = True, frozen_theta: np.ndarray | None = None,
 ) -> RunTrace:
-    dim = cfg.dim
-    pert_rng = cfg.seed.child("perturbation")
+    """The two-timescale recursion; with ``frozen_theta`` only its fast part.
+
+    A frozen run holds theta at ``frozen_theta``: it takes no slow step and
+    no projection, and its trace keeps no records.
+
+    Per block, theta and Z are Python floats. Elementwise + - * / and the
+    min/max clamp round exactly as the NumPy ufuncs did, so the outputs are
+    bit for bit those of an ndarray loop. Dot products are not: NumPy's
+    OpenBLAS ddot fuses multiply-adds, and on x86-64 with NumPy 2.4, 16% of
+    2-vector and 24% of 4-vector dots (200k random vectors) differ from a
+    Python sum of products, while a rowwise einsum differs from a per-row
+    ``@``. So every dot product stays a single-vector NumPy ``@``.
+    """
+    slow = frozen_theta is None
+    theta = (cfg.theta0 if slow else np.asarray(frozen_theta, dtype=float)).tolist()
+    dim = len(theta)
+    draws = sample_vectors(cfg.seed.child("perturbation"), sample_q, dim)
     sys_rng = cfg.seed.child("system")
     coef = (1.0 - sample_q) / (3.0 - sample_q)
     beta, ell, guard = cfg.beta, cfg.samples_per_iteration, cfg.z_guard
-    theta = cfg.theta0.copy()
-    z = np.zeros(dim)
-    records = [IterationRecord(0, theta.copy(), z.copy(), math.nan)] if keep_records else None
+    lo, hi = cfg.box_min.tolist(), cfg.box_max.tolist()
+    block_start_z = cfg.use_block_start_z
+    z = [0.0] * dim
+    records = [IterationRecord(0, np.array(theta), np.array(z), math.nan)] if keep_records and slow else None
     step = system.step
-    for n in range(cfg.num_iterations):
-        eta = sample_vector(pert_rng, sample_q, dim)
+    set_parameter = system.set_parameter
+    for n, eta in zip(range(cfg.num_iterations), draws):
         w = 1.0 / (1.0 - coef * float(eta @ eta)) if weighted else 1.0
-        system.set_parameter(theta + beta * eta)
+        eta_f = eta.tolist()
+        set_parameter(np.array([t + beta * e for t, e in zip(theta, eta_f)]))
         b = step_size_b(n)
         alpha = 1.0 - b
         z_start = z
@@ -143,14 +163,19 @@ def _run_loop(
             h = step(sys_rng)
             cost_sum += h
             s = alpha * s + h
-        z = (alpha**ell) * z + (b * w / beta) * s * eta
-        if not np.abs(z).max() <= guard:  # also true for a NaN or infinite component
-            raise DivergenceError(iteration=n, perturbation=eta, cost=h, z=z)
-        z_update = z_start if cfg.use_block_start_z else z
-        theta = project(theta - step_size_a(n) * z_update, cfg.box_min, cfg.box_max)
-        if records is not None:
-            records.append(IterationRecord(n + 1, theta.copy(), z.copy(), cost_sum / ell))
-    return RunTrace(records=tuple(records or ()), final_theta=theta)
+        decay = alpha**ell
+        gain = (b * w / beta) * s
+        z = [decay * v + gain * e for v, e in zip(z, eta_f)]
+        if not all(-guard <= v <= guard for v in z):  # also true for a NaN or infinite component
+            raise DivergenceError(iteration=n, perturbation=eta, cost=h, z=np.array(z))
+        if slow:
+            a = step_size_a(n)
+            z_update = z_start if block_start_z else z
+            # min(hi, max(lo, t)) breaks ties (signed zeros) as project() does
+            theta = [min(u, max(l, t - a * v)) for t, v, l, u in zip(theta, z_update, lo, hi)]
+            if records is not None:
+                records.append(IterationRecord(n + 1, np.array(theta), np.array(z), cost_sum / ell))
+    return RunTrace(records=tuple(records or ()), final_theta=np.array(theta), final_z=np.array(z))
 
 
 def run_qsf(system: BlackBoxSystem, cfg: TwoTimescaleConfig, *, keep_records: bool = True) -> RunTrace:
@@ -183,24 +208,4 @@ def fast_timescale_diagnostic(
     gradient at theta_frozen (compare against quadrature of
     :func:`qsf.sfgrad.smoothed_gradient_1d`).
     """
-    theta = np.asarray(theta_frozen, dtype=float)
-    dim = theta.shape[0]
-    pert_rng = cfg.seed.child("perturbation")
-    sys_rng = cfg.seed.child("system")
-    coef = (1.0 - cfg.q) / (3.0 - cfg.q)
-    z = np.zeros(dim)
-    for n in range(cfg.num_iterations):
-        eta = sample_vector(pert_rng, cfg.q, dim)
-        w = 1.0 / (1.0 - coef * float(eta @ eta))
-        system.set_parameter(theta + cfg.beta * eta)
-        b = step_size_b(n)
-        alpha = 1.0 - b
-        s = 0.0
-        step = system.step
-        for _ in range(cfg.samples_per_iteration):
-            h = step(sys_rng)
-            s = alpha * s + h
-        z = (alpha**cfg.samples_per_iteration) * z + (b * w / cfg.beta) * s * eta
-        if not np.abs(z).max() <= cfg.z_guard:
-            raise DivergenceError(iteration=n, perturbation=eta, cost=h, z=z)
-    return z
+    return _run_loop(system, cfg, cfg.q, True, keep_records=False, frozen_theta=theta_frozen).final_z

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import integrate, interpolate, special
@@ -38,6 +38,11 @@ BALL = "ball"
 # draws are rejected and redrawn: the estimator weight 1/(1 - |z|^2/R^2-ish)
 # would overflow on the boundary shell.
 BOUNDARY_MARGIN = 1e-12
+
+# Blocks per raw draw of sample_vectors: the first chunk, and the cap that
+# doubling stops at.
+_FIRST_CHUNK = 16
+_MAX_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -191,13 +196,18 @@ def pdf_batch(xs: np.ndarray, spec: QGaussianSpec) -> np.ndarray:
     return np.exp(np.log(br) / (1.0 - q)) / (beta * k)
 
 
+def _box_muller_transform(u1: np.ndarray, u2: np.ndarray, q_prime: float) -> np.ndarray:
+    """Generalized Box-Muller draws from uniforms u1, u2 of one shape."""
+    r2 = -2.0 * _q_log_array(u1, q_prime)
+    np.maximum(r2, 0.0, out=r2)  # guard rounding at u1 near the q'<1 cap
+    return np.sqrt(r2) * np.cos(2.0 * math.pi * u2)
+
+
 def _box_muller(rng: RngStream, q_prime: float, n: int) -> np.ndarray:
     """n generalized Box-Muller draws, without the support-boundary redraw."""
     u1 = rng.random_array(n)
     u2 = rng.random_array(n)
-    r2 = -2.0 * _q_log_array(u1, q_prime)
-    np.maximum(r2, 0.0, out=r2)  # guard rounding at u1 near the q'<1 cap
-    return np.sqrt(r2) * np.cos(2.0 * math.pi * u2)
+    return _box_muller_transform(u1, u2, q_prime)
 
 
 def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
@@ -229,6 +239,42 @@ def sample_scalar(rng: RngStream, q: float) -> float:
 def sample_vector(rng: RngStream, q: float, dim: int) -> np.ndarray:
     """Vector of dim i.i.d. standard univariate draws (component-wise, not joint)."""
     return sample_batch(rng, q, int(dim))
+
+
+def sample_vectors(rng: RngStream, q: float, dim: int) -> Iterator[np.ndarray]:
+    """Endless iterator whose items equal successive ``sample_vector(rng, q, dim)``
+    calls, bit for bit.
+
+    The raw uniforms of c blocks are taken in one draw, shaped (c, 2, dim)
+    as the per-block calls read them (dim values of u1, then dim of u2), and
+    transformed by the same ufuncs at once; each item is a row view of the
+    result. c starts at ``_FIRST_CHUNK`` blocks and doubles up to
+    ``_MAX_CHUNK``. The first block with an exact-zero uniform, or (q < 1) a
+    draw within BOUNDARY_MARGIN of the support radius, ends the chunk: its
+    raw values and all after them go back on the stream, and that block is
+    drawn by :func:`sample_vector` itself, which skips the zero or redraws.
+    The stream must be private to the iterator, which reads ahead of the
+    items it has yielded.
+    """
+    if not q < 3.0:
+        raise ValueError(f"sampling requires q < 3 (got q={q})")
+    dim = int(dim)
+    q_prime = (1.0 + q) / (3.0 - q)
+    radius = cutoff_radius(q) if q < 1.0 else None
+    c = _FIRST_CHUNK
+    while True:
+        raw = rng.raw(c * 2 * dim).reshape(c, 2, dim)
+        with np.errstate(divide="ignore", invalid="ignore"):  # an exact zero in u1
+            z = _box_muller_transform(raw[:, 0], raw[:, 1], q_prime)
+        bad = ~raw.all(axis=(1, 2))
+        if radius is not None:
+            bad |= (radius - np.abs(z) < BOUNDARY_MARGIN).any(axis=1)
+        k = int(bad.argmax()) if bad.any() else c
+        yield from z[:k]
+        if k < c:
+            rng.unread(raw[k:].ravel())
+            yield sample_vector(rng, q, dim)
+        c = min(2 * c, _MAX_CHUNK)
 
 
 def sample_matrix(rng: RngStream, q: float, rows: int, dim: int) -> np.ndarray:

@@ -116,7 +116,8 @@ class QueueNetwork:
     __slots__ = (
         "config", "_arr1", "_arr2", "_svc1", "_svc2", "_route", "_ahead", "_chunk",
         "clock", "queue1", "queue2", "_ta1", "_ta2", "_tc1", "_tc2",
-        "_scale1", "_scale2", "_theta", "_lambda1", "_lambda2", "_p_exit", "_count_in_service",
+        "_scale1", "_scale2", "_theta", "_target", "_shape", "_n1", "_r1", "_r2",
+        "_lambda1", "_lambda2", "_p_exit", "_count_in_service",
         "external_arrivals", "departures", "node1_completions", "node2_completions", "exits",
         "_trace",
     )
@@ -132,6 +133,11 @@ class QueueNetwork:
         self._chunk = [_FIRST_CHUNK] * 5
         self._trace = [] if record_events else None
         self._theta = config.theta_target.copy()
+        self._target = config.theta_target
+        self._shape = (config.dim,)
+        self._n1 = config.N1
+        self._r1 = config.R1
+        self._r2 = config.R2
         self._scale1 = 1.0 / config.R1
         self._scale2 = 1.0 / config.R2
         self._lambda1 = config.lambda1
@@ -176,15 +182,17 @@ class QueueNetwork:
         lie outside any feasibility box (perturbed parameters are legal); the
         in-progress services keep their committed durations.
         """
-        theta = np.asarray(theta, dtype=float)
-        cfg = self.config
-        if theta.shape != (cfg.dim,):
-            raise ValueError(f"theta must have shape ({cfg.dim},), got {theta.shape}")
-        self._theta = theta.copy()
-        g1 = theta[: cfg.N1] - cfg.theta_target[: cfg.N1]
-        g2 = theta[cfg.N1 :] - cfg.theta_target[cfg.N1 :]
-        self._scale1 = (1.0 + float(g1 @ g1)) / cfg.R1
-        self._scale2 = (1.0 + float(g2 @ g2)) / cfg.R2
+        theta = np.array(theta, dtype=float)  # a copy: the caller may reuse its array
+        if theta.shape != self._shape:
+            raise ValueError(f"theta must have shape {self._shape}, got {theta.shape}")
+        self._theta = theta
+        gap = theta - self._target
+        g1 = gap[: self._n1]
+        g2 = gap[self._n1 :]
+        # Single-vector NumPy dot products, as everywhere the bits matter
+        # (see optimizer._run_loop): a Python sum of squares rounds differently.
+        self._scale1 = (1.0 + float(g1 @ g1)) / self._r1
+        self._scale2 = (1.0 + float(g2 @ g2)) / self._r2
 
     @property
     def state(self) -> QueueState:

@@ -72,7 +72,7 @@ class RngStream:
         self._fill = min(2 * self._fill, _BUFFER)
         return buf
 
-    def _raw(self, n: int) -> np.ndarray:
+    def raw(self, n: int) -> np.ndarray:
         """The next ``n`` values of the logical sequence, exact zeros included.
 
         What is left of the buffer comes first. A remainder at least as long
@@ -96,9 +96,19 @@ class RngStream:
             self._pos = rest
         return out
 
+    def unread(self, values: np.ndarray) -> None:
+        """Put ``values``, the last ones taken by :meth:`raw`, back on the stream.
+
+        The next draws read them again, in order, before the rest of the
+        sequence; a caller that took more raw values than it used returns
+        the tail this way.
+        """
+        self._buf = np.concatenate((values, self._buf[self._pos :]))
+        self._pos = 0
+
     def random_list(self, n: int) -> list:
         """The next ``n`` draws of :meth:`random`, as a Python list."""
-        out = self._raw(n)
+        out = self.raw(n)
         if out.all():
             return out.tolist()
         vals = [v for v in out.tolist() if v > 0.0]  # skip exact zeros, as random() does
@@ -112,7 +122,7 @@ class RngStream:
         An exact zero is replaced in place by a scalar draw made after the
         whole array.
         """
-        out = self._raw(n)
+        out = self.raw(n)
         if not out.all():
             for i in np.flatnonzero(out == 0.0):
                 out[i] = self.random()

@@ -23,7 +23,8 @@ from qsf.harness import (
     write_sweep_csv,
     write_timings_csv,
 )
-from qsf.queuesim import QueueNetworkConfig
+from qsf.optimizer import TwoTimescaleConfig, run_gaussian_sf
+from qsf.queuesim import QueueNetwork, QueueNetworkConfig
 
 
 def tiny_config(**kw):
@@ -243,6 +244,26 @@ def test_trace_outputs(tmp_path):
         "block_mean_cost,distance_to_target"
     )
     assert len(flines) == 17
+
+
+def test_trace_run_and_gaussian_baseline_reproduce_the_sweep_records():
+    cfg = tiny_config(q_values=(0.5, 1.0, 1.5), beta_values=(0.05, 0.25),
+                      optimizer=OptimizerSettings(num_iterations=40, samples_per_iteration=3))
+    target = cfg.network.theta_target
+    for rec in run_experiment(cfg).records:
+        trace = trace_run(cfg, rec.q, rec.beta, rec.trial)
+        assert float(np.linalg.norm(trace.final_theta - target)) == rec.final_distance
+    # the q = 1 cell rebuilt by hand and run by the Gaussian baseline
+    qi, bi, opt = 1, 1, cfg.optimizer
+    cell = derive_cell_stream(cfg.base_seed, qi, bi, 0)
+    run_cfg = TwoTimescaleConfig(
+        num_iterations=opt.num_iterations, samples_per_iteration=opt.samples_per_iteration,
+        q=1.0, beta=0.25, box_min=opt.box_min, box_max=opt.box_max, theta0=opt.theta0,
+        seed=cell.child("optimizer"), use_block_start_z=opt.use_block_start_z,
+    )
+    gauss = run_gaussian_sf(QueueNetwork(cfg.network, cell.child("network")), run_cfg)
+    assert np.array_equal(gauss.final_theta, trace_run(cfg, 1.0, 0.25, 0).final_theta)
+    assert float(np.linalg.norm(gauss.final_theta - target)) == run_single_trial(cfg, qi, bi, 0).final_distance
 
 
 def test_trace_run_requires_grid_point():

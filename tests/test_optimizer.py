@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from qsf.errors import DivergenceError
 from qsf.optimizer import (
+    IterationRecord,
+    RunTrace,
     TwoTimescaleConfig,
+    _run_loop,
     fast_timescale_diagnostic,
     project,
     run_gaussian_sf,
@@ -15,7 +18,8 @@ from qsf.optimizer import (
     step_size_a,
     step_size_b,
 )
-from qsf.qgauss import lambda_q
+from qsf.qgauss import lambda_q, sample_vector
+from qsf.queuesim import QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream
 from qsf.sfgrad import smoothed_gradient_1d
 
@@ -287,3 +291,114 @@ def test_fast_timescale_tracks_scaled_smoothed_gradient(q, seed, tol):
         lambda t: (t - 1.0) ** 2, theta, q, beta
     )
     assert abs(z[0] - target) < tol * abs(target)
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness of the float loop against the ndarray loop it replaced
+
+
+def ndarray_loop(system, cfg, sample_q, weighted, frozen_theta=None):
+    """Reference: the per-block loop with ndarray theta and Z and one
+    sample_vector call per block. With ``frozen_theta``, theta stays there
+    and only the tracker runs, as the diagnostic did on its own."""
+    slow = frozen_theta is None
+    theta = cfg.theta0.copy() if slow else np.asarray(frozen_theta, dtype=float)
+    dim = theta.shape[0]
+    pert_rng = cfg.seed.child("perturbation")
+    sys_rng = cfg.seed.child("system")
+    coef = (1.0 - sample_q) / (3.0 - sample_q)
+    beta, ell, guard = cfg.beta, cfg.samples_per_iteration, cfg.z_guard
+    z = np.zeros(dim)
+    records = [IterationRecord(0, theta.copy(), z.copy(), math.nan)]
+    for n in range(cfg.num_iterations):
+        eta = sample_vector(pert_rng, sample_q, dim)
+        w = 1.0 / (1.0 - coef * float(eta @ eta)) if weighted else 1.0
+        system.set_parameter(theta + beta * eta)
+        b = step_size_b(n)
+        alpha = 1.0 - b
+        z_start = z
+        s = 0.0
+        cost_sum = 0.0
+        for _ in range(ell):
+            h = system.step(sys_rng)
+            cost_sum += h
+            s = alpha * s + h
+        z = (alpha**ell) * z + (b * w / beta) * s * eta
+        if not np.abs(z).max() <= guard:
+            raise DivergenceError(iteration=n, perturbation=eta, cost=h, z=z)
+        if slow:
+            z_update = z_start if cfg.use_block_start_z else z
+            theta = project(theta - step_size_a(n) * z_update, cfg.box_min, cfg.box_max)
+            records.append(IterationRecord(n + 1, theta.copy(), z.copy(), cost_sum / ell))
+    return RunTrace(records=tuple(records), final_theta=theta, final_z=z)
+
+
+def outcome(run):
+    """The bits of a run: every record, or the diagnostics of its divergence."""
+    try:
+        trace = run()
+    except DivergenceError as err:
+        return ("diverged", err.iteration, err.perturbation.tobytes(), repr(err.cost), err.z.tobytes())
+    rows = [(r.n, r.theta.tobytes(), r.z.tobytes(), repr(r.block_mean_cost)) for r in trace.records]
+    return ("ran", trace.final_theta.tobytes(), trace.final_z.tobytes(), rows)
+
+
+def network_cfg(q, seed, block_start, m=150, ell=3, beta=0.25):
+    return TwoTimescaleConfig(
+        num_iterations=m, samples_per_iteration=ell, q=q, beta=beta,
+        box_min=np.zeros(4), box_max=np.full(4, 5.0), theta0=np.full(4, 5.0),
+        seed=RngStream(seed), use_block_start_z=block_start,
+    )
+
+
+def fresh_network(seed):
+    return QueueNetwork(QueueNetworkConfig(), RngStream(seed, 1))
+
+
+@pytest.mark.parametrize("block_start", [False, True])
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 1.0, 1.5, 2.5])
+def test_run_loop_matches_ndarray_loop_bitwise(q, block_start):
+    for seed, beta in ((31, 0.25), (32, 2.5)):
+        cfg = network_cfg(q, seed, block_start, beta=beta)
+        for weighted in (True, False):
+            want = outcome(lambda: ndarray_loop(fresh_network(seed), cfg, q, weighted))
+            got = outcome(lambda: _run_loop(fresh_network(seed), cfg, q, weighted))
+            assert got == want
+            if weighted:  # unweighted at q = 2.5, beta = 0.25 the tracker diverges
+                assert want[0] == "ran" and len(want[3]) == cfg.num_iterations + 1
+    # dim 1, with clamping at both ends of the box
+    cfg = make_cfg(q=q, beta=1.5, m=300, ell=2, seed=33, use_block_start_z=block_start,
+                   theta0=np.array([0.5]))
+    want = outcome(lambda: ndarray_loop(QuadraticSystem(target=4.8), cfg, q, True))
+    assert outcome(lambda: _run_loop(QuadraticSystem(target=4.8), cfg, q, True)) == want
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_frozen_run_matches_ndarray_tracker_bitwise(q):
+    cfg = network_cfg(q, 34, False, m=400, ell=2)
+    theta = np.array([1.5, 0.5, 2.0, 3.0])
+    want = ndarray_loop(fresh_network(34), cfg, q, True, frozen_theta=theta).final_z
+    got = fast_timescale_diagnostic(fresh_network(34), theta, cfg)
+    assert got.tobytes() == want.tobytes()
+
+
+class InfSystem(ConstantSystem):
+    def __init__(self, after):
+        self.left = after
+
+    def step(self, rng=None):
+        self.left -= 1
+        return math.inf if self.left < 0 else 2.0
+
+
+@pytest.mark.parametrize("make_system", [NanSystem, lambda: InfSystem(37), ExplodingSystem],
+                         ids=["nan", "inf", "exploding"])
+@pytest.mark.parametrize("q", [0.5, 1.5])
+def test_guard_trips_as_in_ndarray_loop(make_system, q):
+    cfg = make_cfg(q=q, m=400, ell=5, seed=35, dim=4, z_guard=1e6)
+    want = outcome(lambda: ndarray_loop(make_system(), cfg, q, True))
+    assert want[0] == "diverged"
+    assert outcome(lambda: _run_loop(make_system(), cfg, q, True)) == want
+    frozen = np.full(4, 2.0)
+    want = outcome(lambda: ndarray_loop(make_system(), cfg, q, True, frozen_theta=frozen))
+    assert outcome(lambda: fast_timescale_diagnostic(make_system(), frozen, cfg)) == want

@@ -26,9 +26,11 @@ from qsf.qgauss import (
     sample_matrix,
     sample_scalar,
     sample_vector,
+    sample_vectors,
     support,
     tsallis_entropy,
 )
+from qsf.harness import PAPER_Q_GRID
 from qsf.quadrature import radial_integral
 from qsf.rng import RngStream
 
@@ -339,6 +341,69 @@ def test_sample_vector_gaussian_components_normal():
     m = sample_matrix(RngStream(56), 1.0, 20000, 4)
     for j in range(4):
         assert stats.kstest(m[:, j], stats.norm.cdf).pvalue > 0.01
+
+
+def assert_rows_match_sample_vector(make_stream, q, dim, blocks):
+    """The first ``blocks`` items of sample_vectors equal as many successive
+    sample_vector calls on an identical stream, bit for bit."""
+    rows = sample_vectors(make_stream(), q, dim)
+    single = make_stream()
+    for n in range(blocks):
+        got, want = next(rows), sample_vector(single, q, dim)
+        assert got.shape == (dim,)
+        assert got.tobytes() == want.tobytes(), (q, dim, n)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("q", PAPER_Q_GRID)
+def test_sample_vectors_equal_successive_sample_vector_calls(q, dim):
+    # 300 blocks span chunks of 16, 32, 64, 128 and part of 256
+    assert_rows_match_sample_vector(lambda: RngStream(61, 7), q, dim, 300)
+
+
+def test_sample_vectors_past_the_chunk_cap():
+    # 16 + 32 + ... + 1024 = 2032 blocks, then capped chunks of 1024
+    assert_rows_match_sample_vector(lambda: RngStream(62), 0.5, 4, 3200)
+
+
+def scripted_head(values, seed=63):
+    """A stream whose next draws are ``values``, then its own sequence."""
+    s = RngStream(seed)
+    s.unread(np.asarray(values, dtype=float))
+    return s
+
+
+def raw_blocks(blocks, dim, seed=64):
+    """Uniforms for ``blocks`` blocks, laid out as sample_vector reads them."""
+    return np.random.default_rng(seed).uniform(0.05, 0.95, (blocks, 2, dim))
+
+
+@pytest.mark.parametrize("dim,where", [(4, (5, 0, 2)), (4, (9, 1, 0)), (1, (3, 0, 0))])
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+def test_sample_vectors_exact_zero_mid_chunk(q, dim, where):
+    # an exact zero in u1 (index 0) or u2 (index 1) of one block: that block
+    # takes the skip-the-zero path of sample_vector, and the chunk restarts after it
+    raw = raw_blocks(40, dim)
+    raw[where] = 0.0
+    head = raw.ravel()
+    assert_rows_match_sample_vector(lambda: scripted_head(head), q, dim, 60)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_sample_vectors_boundary_redraw_mid_chunk(dim):
+    # u1 = 1e-300, u2 = 0.5 at q = 0.5 give |z| = sqrt(5), the support radius
+    q, k, j = 0.5, 6, dim - 1
+    raw = raw_blocks(40, dim)
+    raw[k, 0, j], raw[k, 1, j] = 1e-300, 0.5
+    radius = cutoff_radius(q)
+    z_edge = qgauss._box_muller_transform(raw[k, 0], raw[k, 1], (1.0 + q) / (3.0 - q))
+    assert radius - abs(z_edge[j]) < qgauss.BOUNDARY_MARGIN
+    head = raw.ravel()
+    assert_rows_match_sample_vector(lambda: scripted_head(head), q, dim, 60)
+    rows = sample_vectors(scripted_head(head), q, dim)
+    got = [next(rows) for _ in range(k + 1)]
+    assert np.all(np.abs(got[k]) < radius - qgauss.BOUNDARY_MARGIN)
+    assert got[k][j] != z_edge[j]  # redrawn
 
 
 def test_quadrature_cdf_matches_student_t():

@@ -213,6 +213,41 @@ def test_set_parameter_dimension_mismatch():
         net.set_parameter(np.ones(3))
 
 
+def scales_by_the_old_expression(cfg, theta):
+    theta = np.asarray(theta, dtype=float)
+    g1 = theta[: cfg.N1] - cfg.theta_target[: cfg.N1]
+    g2 = theta[cfg.N1 :] - cfg.theta_target[cfg.N1 :]
+    return (1.0 + float(g1 @ g1)) / cfg.R1, (1.0 + float(g2 @ g2)) / cfg.R2
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 3), (2, 2), (3, 1)])
+def test_set_parameter_scales_are_bit_exact(n1, n2):
+    cfg = QueueNetworkConfig(N1=n1, N2=n2, R1=7.0, R2=3.0,
+                             theta_target=np.array([1.0, 0.3, 2.5, 4.0]))
+    net = QueueNetwork(cfg, RngStream(18))
+    thetas = np.random.default_rng(18).uniform(-3.0, 8.0, (2000, 4))
+    for theta in thetas:
+        want = scales_by_the_old_expression(cfg, theta)
+        for given_as in (theta, theta.tolist()):
+            net.set_parameter(given_as)
+            assert (net._scale1, net._scale2) == want
+    with pytest.raises(ValueError):
+        net.set_parameter(np.ones(5))
+    with pytest.raises(ValueError):
+        net.set_parameter(np.ones((1, 4)))
+
+
+def test_set_parameter_keeps_its_own_copy():
+    net = make_net(seed=19)
+    theta = np.array([2.0, 3.0, 1.0, 0.5])
+    net.set_parameter(theta)
+    theta[0] = 9.0
+    seen = net.state.theta
+    assert np.array_equal(seen, [2.0, 3.0, 1.0, 0.5])
+    seen[1] = 9.0
+    assert np.array_equal(net.state.theta, [2.0, 3.0, 1.0, 0.5])
+
+
 def test_in_progress_service_unaffected():
     net = make_net(seed=17)
     while net.state.next_completion1 is None:

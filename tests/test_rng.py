@@ -71,6 +71,18 @@ def test_exact_zero_in_array_is_replaced_after_the_array():
     assert list(arr) == [0.5, 0.125, 0.25, 0.75]
 
 
+@pytest.mark.parametrize("take,back", [(5, 2), (40, 40), (3000, 1234), (20000, 1)])
+def test_unread_puts_raw_values_back_in_order(take, back):
+    # raw() takes values from the buffer or straight from the generator; the
+    # unread tail is read again first, then the sequence carries on
+    s, ref = RngStream(21, 4), RngStream(21, 4)
+    assert s.random() == ref.random()  # leaves a partly read buffer
+    head = s.raw(take)
+    s.unread(head[take - back :])
+    got = head[: take - back].tolist() + s.random_list(back + 50)
+    assert got == ref.random_list(take + 50)
+
+
 def test_random_list_returns_python_floats():
     vals = RngStream(8).random_list(20)
     assert len(vals) == 20 and all(type(v) is float and 0.0 < v < 1.0 for v in vals)
