@@ -6,7 +6,8 @@
     qsf qgauss verify --q Q1,Q2,... --beta B1,B2,... [--dims 1,2]
     qsf summarize <results-dir>
 
-Exit status is nonzero whenever a requested self-check fails.
+Exit status is 1 when a requested self-check fails and 2 when an argument
+or the config is invalid, reported as ``error: ...``.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QsfError as exc:
+    except (QsfError, ValueError) as exc:  # ValueError: an argument out of range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

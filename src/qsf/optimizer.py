@@ -15,7 +15,7 @@ never reset between blocks: the recursion rides a single trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
@@ -34,12 +34,12 @@ class BlackBoxSystem(Protocol):
 
     ``set_parameter`` takes effect for subsequent steps without resetting the
     process state; ``step`` advances one transition and returns a finite,
-    nonnegative cost sample.
+    nonnegative cost sample. The system owns whatever randomness it uses.
     """
 
     def set_parameter(self, theta: np.ndarray) -> None: ...
 
-    def step(self, rng: RngStream | None = None) -> float: ...
+    def step(self) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def project(theta: np.ndarray, box_min: np.ndarray, box_max: np.ndarray) -> np.n
 
 
 def _run_loop(
-    system: BlackBoxSystem, cfg: TwoTimescaleConfig, sample_q: float, weighted: bool,
+    system: BlackBoxSystem, cfg: TwoTimescaleConfig,
     keep_records: bool = True, frozen_theta: np.ndarray | None = None,
 ) -> RunTrace:
     """The two-timescale recursion; with ``frozen_theta`` only its fast part.
@@ -137,9 +137,8 @@ def _run_loop(
     slow = frozen_theta is None
     theta = (cfg.theta0 if slow else np.asarray(frozen_theta, dtype=float)).tolist()
     dim = len(theta)
-    draws = sample_vectors(cfg.seed.child("perturbation"), sample_q, dim)
-    sys_rng = cfg.seed.child("system")
-    coef = (1.0 - sample_q) / (3.0 - sample_q)
+    draws = sample_vectors(cfg.seed.child("perturbation"), cfg.q, dim)
+    coef = (1.0 - cfg.q) / (3.0 - cfg.q)
     beta, ell, guard = cfg.beta, cfg.samples_per_iteration, cfg.z_guard
     lo, hi = cfg.box_min.tolist(), cfg.box_max.tolist()
     block_start_z = cfg.use_block_start_z
@@ -148,7 +147,7 @@ def _run_loop(
     step = system.step
     set_parameter = system.set_parameter
     for n, eta in zip(range(cfg.num_iterations), draws):
-        w = 1.0 / (1.0 - coef * float(eta @ eta)) if weighted else 1.0
+        w = 1.0 / (1.0 - coef * float(eta @ eta))
         eta_f = eta.tolist()
         set_parameter(np.array([t + beta * e for t, e in zip(theta, eta_f)]))
         b = step_size_b(n)
@@ -160,7 +159,7 @@ def _run_loop(
         s = 0.0
         cost_sum = 0.0
         for _ in range(ell):
-            h = step(sys_rng)
+            h = step()
             cost_sum += h
             s = alpha * s + h
         decay = alpha**ell
@@ -187,16 +186,13 @@ def run_qsf(system: BlackBoxSystem, cfg: TwoTimescaleConfig, *, keep_records: bo
     Raises DivergenceError (with the failing iteration, perturbation and cost)
     when the tracker leaves the finite guard band.
     """
-    return _run_loop(system, cfg, sample_q=cfg.q, weighted=True, keep_records=keep_records)
+    return _run_loop(system, cfg, keep_records=keep_records)
 
 
 def run_gaussian_sf(system: BlackBoxSystem, cfg: TwoTimescaleConfig) -> RunTrace:
-    """Baseline with Gaussian perturbations and unit weight (the q = 1 path).
-
-    On a shared seed this reproduces run_qsf with q = 1 bit-for-bit, since the
-    weight is exactly 1 there.
-    """
-    return _run_loop(system, cfg, sample_q=1.0, weighted=False)
+    """Baseline with Gaussian perturbations and unit weight: run_qsf at q = 1,
+    where the weight 1/(1 - 0 |eta|^2) is exactly 1, whatever cfg.q is."""
+    return run_qsf(system, replace(cfg, q=1.0))
 
 
 def fast_timescale_diagnostic(
@@ -208,4 +204,4 @@ def fast_timescale_diagnostic(
     gradient at theta_frozen (compare against quadrature of
     :func:`qsf.sfgrad.smoothed_gradient_1d`).
     """
-    return _run_loop(system, cfg, cfg.q, True, keep_records=False, frozen_theta=theta_frozen).final_z
+    return _run_loop(system, cfg, keep_records=False, frozen_theta=theta_frozen).final_z

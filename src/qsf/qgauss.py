@@ -39,10 +39,8 @@ BALL = "ball"
 # would overflow on the boundary shell.
 BOUNDARY_MARGIN = 1e-12
 
-# Blocks per raw draw of sample_vectors: the first chunk, and the cap that
-# doubling stops at.
-_FIRST_CHUNK = 16
-_MAX_CHUNK = 1024
+# Blocks per raw draw of sample_vectors.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,6 @@ class QGaussianSpec:
         if mu.shape != (self.dim,):
             raise ValueError(f"mu must have shape ({self.dim},), got {mu.shape}")
         object.__setattr__(self, "mu", mu)
-
-    @property
-    def is_gaussian(self) -> bool:
-        return self.q == 1.0
 
 
 @dataclass(frozen=True)
@@ -245,14 +239,14 @@ def sample_vectors(rng: RngStream, q: float, dim: int) -> Iterator[np.ndarray]:
     """Endless iterator whose items equal successive ``sample_vector(rng, q, dim)``
     calls, bit for bit.
 
-    The raw uniforms of c blocks are taken in one draw, shaped (c, 2, dim)
-    as the per-block calls read them (dim values of u1, then dim of u2), and
-    transformed by the same ufuncs at once; each item is a row view of the
-    result. c starts at ``_FIRST_CHUNK`` blocks and doubles up to
-    ``_MAX_CHUNK``. The first block with an exact-zero uniform, or (q < 1) a
-    draw within BOUNDARY_MARGIN of the support radius, ends the chunk: its
-    raw values and all after them go back on the stream, and that block is
-    drawn by :func:`sample_vector` itself, which skips the zero or redraws.
+    The raw uniforms of ``_CHUNK`` blocks are taken in one draw, shaped
+    (_CHUNK, 2, dim) as the per-block calls read them (dim values of u1, then
+    dim of u2), and transformed by the same ufuncs at once; each item is a
+    row view of the result. The first block with an exact-zero uniform, or
+    (q < 1) a draw within BOUNDARY_MARGIN of the support radius, ends the
+    chunk: its raw values and all after them go back on the stream, and that
+    block is drawn by :func:`sample_vector` itself, which skips the zero or
+    redraws.
     The stream must be private to the iterator, which reads ahead of the
     items it has yielded.
     """
@@ -261,20 +255,18 @@ def sample_vectors(rng: RngStream, q: float, dim: int) -> Iterator[np.ndarray]:
     dim = int(dim)
     q_prime = (1.0 + q) / (3.0 - q)
     radius = cutoff_radius(q) if q < 1.0 else None
-    c = _FIRST_CHUNK
     while True:
-        raw = rng.raw(c * 2 * dim).reshape(c, 2, dim)
+        raw = rng.raw(_CHUNK * 2 * dim).reshape(_CHUNK, 2, dim)
         with np.errstate(divide="ignore", invalid="ignore"):  # an exact zero in u1
             z = _box_muller_transform(raw[:, 0], raw[:, 1], q_prime)
         bad = ~raw.all(axis=(1, 2))
         if radius is not None:
             bad |= (radius - np.abs(z) < BOUNDARY_MARGIN).any(axis=1)
-        k = int(bad.argmax()) if bad.any() else c
+        k = int(bad.argmax()) if bad.any() else _CHUNK
         yield from z[:k]
-        if k < c:
+        if k < _CHUNK:
             rng.unread(raw[k:].ravel())
             yield sample_vector(rng, q, dim)
-        c = min(2 * c, _MAX_CHUNK)
 
 
 def sample_matrix(rng: RngStream, q: float, rows: int, dim: int) -> np.ndarray:

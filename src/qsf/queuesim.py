@@ -14,8 +14,8 @@ returns the cost = total customers in system observed at that event epoch.
 
 Randomness is split over five dedicated streams (two arrival, two service,
 one routing) fixed at construction, so changing the parameter never shifts
-the arrival or routing sequences. The ``rng`` argument of ``step`` is part of
-the generic contract and is ignored here.
+the arrival or routing sequences. ``step`` takes no argument: the network
+draws only from its own streams.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ _EV_SVC1, _EV_SVC2, _EV_ARR1, _EV_ARR2 = range(4)
 _EVENT_NAMES = (EVENT_COMPLETION_1, EVENT_COMPLETION_2, EVENT_ARRIVAL_1, EVENT_ARRIVAL_2)
 _EVENT_NODES = (1, 2, 1, 2)
 
-# Streams, as indices into QueueNetwork._ahead, and their lookahead chunk sizes.
+# Streams, as indices into QueueNetwork._ahead, and their lookahead chunk size.
 _ARR1, _ARR2, _SVC1, _SVC2, _ROUTE = range(5)
-_FIRST_CHUNK = 16
-_MAX_CHUNK = 1024
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,15 @@ class QueueNetwork:
     """Mutable single-threaded simulator instance; one per trial.
 
     Each of the five streams is read through its own lookahead list, filled
-    by :meth:`RngStream.random_list` in chunks that start at ``_FIRST_CHUNK``
-    and double up to ``_MAX_CHUNK``. A list holds its chunk reversed, so the
-    next draw is ``pop()``-ed off the end. Every draw of a stream, including
-    the first arrivals of :meth:`reset`, comes through its list, so each
-    stream is consumed in exactly the order of one ``random()`` per draw.
+    by :meth:`RngStream.random_list` in chunks of ``_CHUNK`` draws. A list
+    holds its chunk reversed, so the next draw is ``pop()``-ed off the end.
+    Every draw of a stream, including the first arrivals of :meth:`reset`,
+    comes through its list, so each stream is consumed in exactly the order
+    of one ``random()`` per draw.
     """
 
     __slots__ = (
-        "config", "_arr1", "_arr2", "_svc1", "_svc2", "_route", "_ahead", "_chunk",
+        "config", "_arr1", "_arr2", "_svc1", "_svc2", "_route", "_ahead",
         "clock", "queue1", "queue2", "_ta1", "_ta2", "_tc1", "_tc2",
         "_scale1", "_scale2", "_theta", "_target", "_shape", "_n1", "_r1", "_r2",
         "_lambda1", "_lambda2", "_p_exit", "_count_in_service",
@@ -130,7 +129,6 @@ class QueueNetwork:
         self._svc2 = rng.child("service", 2)
         self._route = rng.child("routing")
         self._ahead = ([], [], [], [], [])  # indexed by _ARR1 ... _ROUTE
-        self._chunk = [_FIRST_CHUNK] * 5
         self._trace = [] if record_events else None
         self._theta = config.theta_target.copy()
         self._target = config.theta_target
@@ -148,11 +146,9 @@ class QueueNetwork:
 
     def _refill(self, k: int) -> float:
         """Refill stream ``k``'s empty lookahead list and pop its next draw."""
-        n = self._chunk[k]
-        self._chunk[k] = min(2 * n, _MAX_CHUNK)
         stream = (self._arr1, self._arr2, self._svc1, self._svc2, self._route)[k]
         ahead = self._ahead[k]
-        ahead.extend(reversed(stream.random_list(n)))
+        ahead.extend(reversed(stream.random_list(_CHUNK)))
         return ahead.pop()
 
     def reset(self) -> None:
@@ -211,7 +207,7 @@ class QueueNetwork:
     def in_system(self) -> int:
         return self.queue1 + self.queue2
 
-    def step(self, rng: RngStream | None = None) -> float:
+    def step(self) -> float:
         """Process the earliest pending event and return the cost sample.
 
         Ties (probability zero, but possible in floating point) break in the

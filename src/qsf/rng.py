@@ -15,8 +15,6 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_FIRST_FILL = 16  # a fresh stream's first buffer; later fills double up to _BUFFER
-_BUFFER = 8192
 _EMPTY = np.empty(0)
 
 
@@ -30,24 +28,22 @@ def derive_stream_id(seed: int, stream_id: int, tags: tuple) -> int:
 class RngStream:
     """Single-owner uniform source over the open interval (0, 1).
 
-    Scalar draws are served from an internal buffer that starts small and
-    doubles up to ``_BUFFER`` values, so a stream that is drawn from a few
-    times never pays for a large fill. Philox yields its doubles in the same
-    order whatever the chunk sizes, so interleaving scalar, list and array
-    requests is deterministic: together they read one logical sequence. One
-    stream must not be shared across threads.
+    The generator is built on the first draw, so a stream that only derives
+    children never builds one. The stream keeps no read-ahead of its own:
+    every request is served by the generator, after any values put back by
+    :meth:`unread`. Philox yields its doubles in the same order whatever the
+    request sizes, so interleaving scalar, list and array requests is
+    deterministic: together they read one logical sequence. One stream must
+    not be shared across threads.
     """
 
-    __slots__ = ("seed", "stream_id", "_gen", "_buf", "_pos", "_fill")
+    __slots__ = ("seed", "stream_id", "_gen", "_back")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        key = (self.seed << 64) | self.stream_id
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-        self._buf = _EMPTY
-        self._pos = 0
-        self._fill = _FIRST_FILL
+        self._gen = None
+        self._back = _EMPTY  # values put back by unread(), read before the generator
 
     def child(self, *tags) -> "RngStream":
         """Derive an independent stream keyed by ``tags`` (ints or strings)."""
@@ -55,45 +51,25 @@ class RngStream:
 
     def random(self) -> float:
         """One uniform draw from the open interval (0, 1)."""
-        buf, pos = self._buf, self._pos
         while True:
-            if pos >= len(buf):
-                buf, pos = self._refill(), 0
-            v = buf[pos]
-            pos += 1
+            v = self.raw(1)[0]
             if v > 0.0:
-                self._pos = pos
                 return float(v)
 
-    def _refill(self) -> np.ndarray:
-        """Replace the spent buffer with the next fill; double the fill after."""
-        buf = self._buf = self._gen.random(self._fill)
-        self._pos = 0
-        self._fill = min(2 * self._fill, _BUFFER)
-        return buf
-
     def raw(self, n: int) -> np.ndarray:
-        """The next ``n`` values of the logical sequence, exact zeros included.
-
-        What is left of the buffer comes first. A remainder at least as long
-        as the next buffer fill is drawn straight from the generator, which
-        leaves the buffer empty and in step; a shorter one goes through a
-        buffer refill.
-        """
-        buf, pos = self._buf, self._pos
-        avail = len(buf) - pos
-        if n <= avail:
-            self._pos = pos + n
-            return buf[pos : pos + n].copy()
+        """The next ``n`` values of the logical sequence, exact zeros included."""
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=(self.seed << 64) | self.stream_id))
+        back = self._back
+        if not len(back):
+            return self._gen.random(n)
+        if n <= len(back):
+            self._back = back[n:]
+            return back[:n]
         out = np.empty(n, dtype=np.float64)
-        out[:avail] = buf[pos:]
-        rest = n - avail
-        if rest >= self._fill:
-            self._buf, self._pos = _EMPTY, 0
-            self._gen.random(out=out[avail:])
-        else:
-            out[avail:] = self._refill()[:rest]
-            self._pos = rest
+        out[: len(back)] = back
+        self._gen.random(out=out[len(back) :])
+        self._back = _EMPTY
         return out
 
     def unread(self, values: np.ndarray) -> None:
@@ -103,8 +79,7 @@ class RngStream:
         sequence; a caller that took more raw values than it used returns
         the tail this way.
         """
-        self._buf = np.concatenate((values, self._buf[self._pos :]))
-        self._pos = 0
+        self._back = np.concatenate((values, self._back))
 
     def random_list(self, n: int) -> list:
         """The next ``n`` draws of :meth:`random`, as a Python list."""

@@ -63,7 +63,7 @@ class QuadraticSystem:
     def set_parameter(self, theta):
         self.theta = np.asarray(theta, dtype=float)
 
-    def step(self, rng=None):
+    def step(self):
         return float(np.sum((self.theta - self.target) ** 2))
 
 

@@ -88,6 +88,16 @@ def test_qgauss_verify_subcommand(capsys):
     assert "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-kernel", "--q", "1.0", "--betas", "0.1,0.5"],
+    ["verify-kernel", "--q", "3.5", "--betas", "0.5,0.1"],
+    ["qgauss", "verify", "--q", "0.5", "--dims", "0"],
+])
+def test_bad_arguments_report_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_config_reports_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -25,6 +25,7 @@ from qsf.harness import (
 )
 from qsf.optimizer import TwoTimescaleConfig, run_gaussian_sf
 from qsf.queuesim import QueueNetwork, QueueNetworkConfig
+from qsf.rng import RngStream
 
 
 def tiny_config(**kw):
@@ -264,6 +265,25 @@ def test_trace_run_and_gaussian_baseline_reproduce_the_sweep_records():
     gauss = run_gaussian_sf(QueueNetwork(cfg.network, cell.child("network")), run_cfg)
     assert np.array_equal(gauss.final_theta, trace_run(cfg, 1.0, 0.25, 0).final_theta)
     assert float(np.linalg.norm(gauss.final_theta - target)) == run_single_trial(cfg, qi, bi, 0).final_distance
+
+
+def test_single_trial_builds_generators_only_for_streams_it_draws_from(monkeypatch):
+    # the perturbation stream and the network's five; the base, cell,
+    # optimizer and network streams only derive children
+    keys = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        keys.append(kwargs["key"])
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    cfg = tiny_config()
+    run_single_trial(cfg, 0, 0, 0)
+    cell = derive_cell_stream(cfg.base_seed, 0, 0, 0)
+    parents = (RngStream(cfg.base_seed), cell, cell.child("optimizer"), cell.child("network"))
+    assert 0 < len(keys) <= 6
+    assert not {(s.seed << 64) | s.stream_id for s in parents} & set(keys)
 
 
 def test_trace_run_requires_grid_point():

@@ -34,7 +34,7 @@ class QuadraticSystem:
     def set_parameter(self, theta):
         self.theta = np.asarray(theta, dtype=float)
 
-    def step(self, rng=None):
+    def step(self):
         return float(np.sum((self.theta - self.target) ** 2))
 
 
@@ -45,7 +45,7 @@ class ConstantSystem:
     def set_parameter(self, theta):
         pass
 
-    def step(self, rng=None):
+    def step(self):
         return self.cost
 
 
@@ -56,7 +56,7 @@ class ExplodingSystem:
     def set_parameter(self, theta):
         pass
 
-    def step(self, rng=None):
+    def step(self):
         self.cost *= 4.0
         return self.cost
 
@@ -231,7 +231,7 @@ def test_divergence_guard_records_diagnostics():
 
 
 class NanSystem(ConstantSystem):
-    def step(self, rng=None):
+    def step(self):
         return math.nan
 
 
@@ -305,7 +305,6 @@ def ndarray_loop(system, cfg, sample_q, weighted, frozen_theta=None):
     theta = cfg.theta0.copy() if slow else np.asarray(frozen_theta, dtype=float)
     dim = theta.shape[0]
     pert_rng = cfg.seed.child("perturbation")
-    sys_rng = cfg.seed.child("system")
     coef = (1.0 - sample_q) / (3.0 - sample_q)
     beta, ell, guard = cfg.beta, cfg.samples_per_iteration, cfg.z_guard
     z = np.zeros(dim)
@@ -320,7 +319,7 @@ def ndarray_loop(system, cfg, sample_q, weighted, frozen_theta=None):
         s = 0.0
         cost_sum = 0.0
         for _ in range(ell):
-            h = system.step(sys_rng)
+            h = system.step()
             cost_sum += h
             s = alpha * s + h
         z = (alpha**ell) * z + (b * w / beta) * s * eta
@@ -360,17 +359,17 @@ def fresh_network(seed):
 def test_run_loop_matches_ndarray_loop_bitwise(q, block_start):
     for seed, beta in ((31, 0.25), (32, 2.5)):
         cfg = network_cfg(q, seed, block_start, beta=beta)
-        for weighted in (True, False):
-            want = outcome(lambda: ndarray_loop(fresh_network(seed), cfg, q, weighted))
-            got = outcome(lambda: _run_loop(fresh_network(seed), cfg, q, weighted))
-            assert got == want
-            if weighted:  # unweighted at q = 2.5, beta = 0.25 the tracker diverges
-                assert want[0] == "ran" and len(want[3]) == cfg.num_iterations + 1
+        want = outcome(lambda: ndarray_loop(fresh_network(seed), cfg, q, True))
+        assert outcome(lambda: _run_loop(fresh_network(seed), cfg)) == want
+        assert want[0] == "ran" and len(want[3]) == cfg.num_iterations + 1
+        # the Gaussian baseline is the unweighted loop at q = 1, whatever cfg.q is
+        want = outcome(lambda: ndarray_loop(fresh_network(seed), cfg, 1.0, False))
+        assert outcome(lambda: run_gaussian_sf(fresh_network(seed), cfg)) == want
     # dim 1, with clamping at both ends of the box
     cfg = make_cfg(q=q, beta=1.5, m=300, ell=2, seed=33, use_block_start_z=block_start,
                    theta0=np.array([0.5]))
     want = outcome(lambda: ndarray_loop(QuadraticSystem(target=4.8), cfg, q, True))
-    assert outcome(lambda: _run_loop(QuadraticSystem(target=4.8), cfg, q, True)) == want
+    assert outcome(lambda: _run_loop(QuadraticSystem(target=4.8), cfg)) == want
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
@@ -386,7 +385,7 @@ class InfSystem(ConstantSystem):
     def __init__(self, after):
         self.left = after
 
-    def step(self, rng=None):
+    def step(self):
         self.left -= 1
         return math.inf if self.left < 0 else 2.0
 
@@ -398,7 +397,7 @@ def test_guard_trips_as_in_ndarray_loop(make_system, q):
     cfg = make_cfg(q=q, m=400, ell=5, seed=35, dim=4, z_guard=1e6)
     want = outcome(lambda: ndarray_loop(make_system(), cfg, q, True))
     assert want[0] == "diverged"
-    assert outcome(lambda: _run_loop(make_system(), cfg, q, True)) == want
+    assert outcome(lambda: _run_loop(make_system(), cfg)) == want
     frozen = np.full(4, 2.0)
     want = outcome(lambda: ndarray_loop(make_system(), cfg, q, True, frozen_theta=frozen))
     assert outcome(lambda: fast_timescale_diagnostic(make_system(), frozen, cfg)) == want

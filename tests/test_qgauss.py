@@ -357,12 +357,12 @@ def assert_rows_match_sample_vector(make_stream, q, dim, blocks):
 @pytest.mark.parametrize("dim", [1, 4])
 @pytest.mark.parametrize("q", PAPER_Q_GRID)
 def test_sample_vectors_equal_successive_sample_vector_calls(q, dim):
-    # 300 blocks span chunks of 16, 32, 64, 128 and part of 256
+    # 300 blocks span four chunks of 64 and part of a fifth
     assert_rows_match_sample_vector(lambda: RngStream(61, 7), q, dim, 300)
 
 
 def test_sample_vectors_past_the_chunk_cap():
-    # 16 + 32 + ... + 1024 = 2032 blocks, then capped chunks of 1024
+    # 3200 blocks: fifty chunks of 64
     assert_rows_match_sample_vector(lambda: RngStream(62), 0.5, 4, 3200)
 
 

@@ -327,7 +327,7 @@ def test_lookahead_lists_match_one_draw_per_call(count_in_service):
     ref = ReferenceNetwork(cfg, RngStream(21))
     thetas = np.random.default_rng(0).uniform(-1.0, 6.0, size=(100, 4))
     costs, ref_costs, trace = [], [], []
-    # 100 blocks of 500 events: every stream refills its list past the 1024 cap
+    # 100 blocks of 500 events: every stream refills its 512-draw list several times
     for block, theta in enumerate(thetas):
         if block in (33, 67):
             trace += net.event_trace
@@ -340,8 +340,8 @@ def test_lookahead_lists_match_one_draw_per_call(count_in_service):
     trace += net.event_trace
     assert costs == ref_costs
     assert trace == ref.trace
-    # each event of a kind took at least one draw from its stream, and the
-    # chunks 16, 32, ..., 1024 hold 2032 draws
+    # each event of a kind took at least one draw from its stream, and more
+    # than 2032 draws take at least four refills of 512
     assert min(Counter(e[1] for e in trace).values()) > 2032
 
 

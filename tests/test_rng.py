@@ -71,16 +71,32 @@ def test_exact_zero_in_array_is_replaced_after_the_array():
     assert list(arr) == [0.5, 0.125, 0.25, 0.75]
 
 
-@pytest.mark.parametrize("take,back", [(5, 2), (40, 40), (3000, 1234), (20000, 1)])
+READERS = {
+    "random": lambda s, n: [s.random() for _ in range(n)],
+    "random_list": lambda s, n: s.random_list(n),
+    "random_array": lambda s, n: s.random_array(n).tolist(),
+}
+
+
+@pytest.mark.parametrize("take,back", [(0, 3), (5, 2), (40, 40), (3000, 1234), (20000, 1)])
 def test_unread_puts_raw_values_back_in_order(take, back):
-    # raw() takes values from the buffer or straight from the generator; the
-    # unread tail is read again first, then the sequence carries on
-    s, ref = RngStream(21, 4), RngStream(21, 4)
-    assert s.random() == ref.random()  # leaves a partly read buffer
-    head = s.raw(take)
-    s.unread(head[take - back :])
-    got = head[: take - back].tolist() + s.random_list(back + 50)
-    assert got == ref.random_list(take + 50)
+    # The unread tail is read again first, then the sequence carries on. With
+    # take = 0 three values go back on a fresh stream, before its generator
+    # is built, and are followed by the plain Philox sequence.
+    for name, read in READERS.items():
+        s, ref = RngStream(21, 4), RngStream(21, 4)
+        if take:
+            assert s.random() == ref.random()
+            head = s.raw(take)
+            want = ref.random_list(take + 50)
+        else:
+            head = np.array([0.75, 0.5, 0.25])
+            want = head.tolist() + ref.random_list(50)
+        s.unread(head[len(head) - back :])
+        assert take or s._gen is None
+        s.unread(s.raw(1))  # a put-back in front of what is left of another
+        got = head[: len(head) - back].tolist() + read(s, back + 20) + read(s, 30)
+        assert got == want, name
 
 
 def test_random_list_returns_python_floats():
