@@ -18,12 +18,8 @@ import math
 import os
 import sys
 
-import numpy as np
-from scipy import stats
-
-from . import harness, qgauss, sfgrad
+from . import harness
 from .errors import QsfError
-from .quadrature import radial_integral
 from .rng import RngStream
 
 
@@ -69,7 +65,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_verify_kernel(args) -> int:
-    report = sfgrad.verify_kernel_properties(args.q, _floats(args.betas))
+    from . import oracles  # SciPy loads only for the verification commands
+
+    report = oracles.verify_kernel_properties(args.q, _floats(args.betas))
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -78,46 +76,15 @@ def _cmd_verify_kernel(args) -> int:
     return 0 if report.passed else 1
 
 
-def _qgauss_invariants(q: float, beta: float, dims: list[int], rng: RngStream) -> list[tuple[str, bool, str]]:
-    checks = []
-    for dim in dims:
-        label = f"q={q:g} beta={beta:g} dim={dim}"
-        if q > 1.0 and q >= qgauss.max_normalizable_q(dim):
-            checks.append((f"normalization {label}", True, "skipped: density not integrable"))
-            continue
-        r_max = qgauss.cutoff_radius(q, beta) if q < 1.0 else math.inf
-        center = qgauss.QGaussianSpec(q, beta, dim)
-        mass = radial_integral(
-            lambda r: qgauss.pdf(np.concatenate([[r], np.zeros(dim - 1)]), center), dim, r_max
-        )
-        checks.append((f"normalization {label}", abs(mass - 1.0) < 1e-6, f"mass={mass:.9f}"))
-    # scale identity against the standard density
-    spec_b = qgauss.QGaussianSpec(q, beta, 1)
-    std = qgauss.QGaussianSpec(q, 1.0, 1)
-    zs = np.linspace(-0.9, 0.9, 9) * (qgauss.cutoff_radius(q) if q < 1 else 4.0)
-    worst = max(
-        abs(qgauss.pdf(beta * z, spec_b) - qgauss.pdf(z, std) / beta)
-        / max(qgauss.pdf(z, std) / beta, 1e-300)
-        for z in zs
-    )
-    checks.append((f"scale-identity q={q:g} beta={beta:g}", worst < 1e-12, f"rel={worst:.2e}"))
-    # sampler distribution smoke test
-    draws = qgauss.sample_batch(rng.child("ks", str(q), str(beta)), q, 20000)
-    ks = stats.kstest(draws, qgauss.quadrature_cdf(std, panels=2048))
-    checks.append((f"sampler-ks q={q:g}", ks.pvalue > 0.01, f"D={ks.statistic:.5f} p={ks.pvalue:.4f}"))
-    if q < 1.0:
-        viol = int(np.sum(np.abs(draws) >= qgauss.cutoff_radius(q)))
-        checks.append((f"cutoff q={q:g}", viol == 0, f"violations={viol}"))
-    return checks
-
-
 def _cmd_qgauss_verify(args) -> int:
+    from . import oracles
+
     rng = RngStream(args.seed)
     dims = [int(d) for d in args.dims.split(",")]
     failures = 0
     for q in _floats(args.q):
         for beta in _floats(args.beta):
-            for name, ok, detail in _qgauss_invariants(q, beta, dims, rng):
+            for name, ok, detail in oracles.qgauss_invariants(q, beta, dims, rng):
                 print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
                 failures += 0 if ok else 1
     return 0 if failures == 0 else 1

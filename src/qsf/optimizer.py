@@ -2,7 +2,7 @@
 
 One outer iteration draws a perturbation vector, runs the system for a block
 of steps at the perturbed parameter while a fast recursion Z tracks the
-(Lambda_q-scaled) gradient, then takes a slow projected descent step:
+(scaled, see qsf.sfgrad) gradient, then takes a slow projected descent step:
 
     Z <- (1 - b(n)) Z + b(n) * eta * h(Y) * w(eta) / beta      (per system step)
     theta <- clamp(theta - a(n) * Z)                           (per block)
@@ -202,6 +202,6 @@ def fast_timescale_diagnostic(
 
     For an analytic system this converges to (3-q)/2 times the smoothed
     gradient at theta_frozen (compare against quadrature of
-    :func:`qsf.sfgrad.smoothed_gradient_1d`).
+    :func:`qsf.oracles.smoothed_gradient_1d`).
     """
     return _run_loop(system, cfg, keep_records=False, frozen_theta=theta_frozen).final_z

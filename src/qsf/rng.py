@@ -13,6 +13,7 @@ import hashlib
 import math
 
 import numpy as np
+import numpy.random  # NumPy 2 defers it to first use; load it with this module
 
 _MASK64 = (1 << 64) - 1
 _EMPTY = np.empty(0)

@@ -10,30 +10,24 @@ same perturbations, which yields the single-simulation estimator
     (1/(beta M L)) sum_n sum_m  z(n) * J_m(theta + beta z(n)) * w(z(n)),
     w(z) = 1 / (1 - (1-q)/(3-q) |z|^2),
 
-whose mean converges (beta -> 0) to Lambda_q * grad J(theta). The Lambda_q
-factor is deliberately left in: it is a positive scalar, so descent directions
-are unaffected; divide by :func:`qsf.qgauss.lambda_q` only for diagnostics.
+whose mean, for z drawn from the joint dim-variate density, converges
+(beta -> 0) to ((3-q)/2) * grad J(theta) in every dimension. The positive
+factor is left in, as it does not change descent directions; it is not
+:func:`qsf.oracles.lambda_q` (that is E[w], equal to (3-q)/2 only in dim 1).
+The sampler draws the components of z i.i.d., not from the joint law, so
+for dim > 1 and q != 1 the estimator is biased.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
-from .errors import ConvergenceError, QuadratureError, SupportBoundaryError
-from .qgauss import (
-    QGaussianSpec,
-    cutoff_radius,
-    pdf,
-    lambda_q,
-    q_expectation,
-    sample_matrix,
-)
-from .quadrature import probe_divergence, quad_checked
+from .errors import ConvergenceError, SupportBoundaryError
+from .qgauss import sample_matrix
 from .rng import RngStream
 
 _CHUNK = 65536
@@ -60,58 +54,11 @@ class GradEstimatorConfig:
 
 @dataclass(frozen=True)
 class GradEstimate:
-    """Estimator output: Lambda_q-scaled gradient with per-component MC error."""
+    """Estimator output: scaled gradient with per-component MC error."""
 
     value: np.ndarray
     stderr: np.ndarray
     carries_lambda_scale: bool = True
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    passed: bool
-    discrepancy: float
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class KernelPropertyReport:
-    """Numeric verdicts for the five smoothing-kernel conditions."""
-
-    q: float
-    betas: tuple
-    checks: tuple  # exactly five PropertyCheck entries, P1..P5
-
-    def __post_init__(self):
-        if len(self.checks) != 5:
-            raise ValueError("a kernel report covers exactly five properties")
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> PropertyCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "betas": list(self.betas),
-            "passed": self.passed,
-            "properties": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "discrepancy": c.discrepancy,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def sf_weight(eta, q: float) -> float:
@@ -169,8 +116,10 @@ def estimate_gradient(
     *,
     vectorized: bool = False,
 ) -> GradEstimate:
-    """Lambda_q-scaled gradient estimate at theta from M perturbation blocks.
+    """Weighted perturbation gradient estimate at theta from M perturbation blocks.
 
+    In dim 1 the mean tends (beta -> 0) to ((3-q)/2) * grad f(theta). The
+    i.i.d. component draws make it biased for dim > 1 when q != 1.
     ``f`` is evaluated samples_per_perturbation times at each perturbed point
     (it may be a noisy oracle); pass ``vectorized=True`` when f maps an
     (n, dim) array to n values. Deterministic for a given rng.
@@ -197,211 +146,3 @@ def estimate_gradient(
         raise ConvergenceError(f"non-finite gradient accumulation: {value!r}")
     stderr = terms.std(axis=0) / math.sqrt(m)
     return GradEstimate(value=value, stderr=stderr)
-
-
-def smoothed_gradient_1d(f: Callable[[float], float], theta: float, q: float, beta: float) -> float:
-    """Quadrature of the smoothed gradient D_{q,beta}[f](theta), univariate.
-
-    Computed in the symmetrized (principal value) form
-
-        D = 2/(beta (3-q)) * int_0^inf z [f(theta+beta z) - f(theta-beta z)] w(z) G(z) dz
-
-    which is absolutely convergent whenever the odd part of f grows at most
-    quadratically. The fixed point of the fast tracker recursion equals
-    (3-q)/2 times this value.
-    """
-    spec = QGaussianSpec(q)
-    r_max = cutoff_radius(q) if q < 1.0 else math.inf
-    coef = (1.0 - q) / (3.0 - q)
-
-    def integrand(z):
-        w = 1.0 / (1.0 - coef * z * z)
-        return z * (f(theta + beta * z) - f(theta - beta * z)) * w * pdf(z, spec)
-
-    val = quad_checked(integrand, 0.0, r_max, atol=1e-12, rtol=1e-9)
-    return 2.0 / (beta * (3.0 - q)) * val
-
-
-def escort_identity_check(f: Callable, q: float, dim: int = 1) -> tuple[float, float]:
-    """Both sides of the escort-reweighting identity, each by quadrature.
-
-    Returns (escort expectation of f, (1/Lambda_q) * E_G[f * w]). Raises
-    QuadratureError when either side fails to converge (for heavy tails and
-    fast-growing f the defining integrals genuinely diverge).
-    """
-    if dim not in (1, 2):
-        raise ValueError("escort_identity_check supports dim in {1, 2}")
-    spec = QGaussianSpec(q, dim=dim)
-    lam = lambda_q(q, dim)
-    coef = (1.0 - q) / (3.0 - q)
-    if dim == 1:
-        if q >= 1.0:
-            escort_num = lambda x: f(x) * pdf(x, spec) ** q
-            weighted_num = lambda x: f(x) * pdf(x, spec) / (1.0 - coef * x * x)
-            for g in (escort_num, weighted_num):
-                if probe_divergence(g):
-                    raise QuadratureError(
-                        "integrand has non-integrable tails for this (f, q) pair"
-                    )
-        lhs = q_expectation(f, spec)
-        r_max = cutoff_radius(q) if q < 1.0 else math.inf
-
-        def weighted(z):
-            w = 1.0 / (1.0 - coef * z * z)
-            return f(z) * w * pdf(z, spec)
-
-        halves = quad_checked(weighted, 0.0, r_max, atol=1e-12, rtol=1e-9) + quad_checked(
-            lambda z: weighted(-z), 0.0, r_max, atol=1e-12, rtol=1e-9
-        )
-        return lhs, halves / lam
-    # dim == 2: plain (non-radial) double quadrature for generic f
-    lhs = q_expectation(f, spec)
-
-    def weighted2(y, x):
-        v = np.array([x, y])
-        w = 1.0 / (1.0 - coef * (x * x + y * y))
-        return f(v) * w * pdf(v, spec)
-
-    lim = cutoff_radius(q) if q < 1.0 else math.inf
-    rhs, err = integrate.dblquad(weighted2, -lim, lim, -lim, lim, epsabs=1e-10, epsrel=1e-8)
-    if not math.isfinite(rhs) or err > 1e-6:
-        raise QuadratureError(f"2-D weighted expectation did not converge (err {err:.2e})")
-    return lhs, rhs / lam
-
-
-def _grad_formula(x: float, q: float, beta: float, spec_b: QGaussianSpec) -> float:
-    br = 1.0 - ((1.0 - q) / ((3.0 - q) * beta * beta)) * x * x
-    if br <= 0.0:
-        return 0.0
-    return -(2.0 * x / ((3.0 - q) * beta * beta)) * pdf(x, spec_b) / br
-
-
-def verify_kernel_properties(
-    q: float,
-    beta_sequence,
-    test_function: Callable[[float], float] | None = None,
-    *,
-    concentration_eps: float = 0.5,
-) -> KernelPropertyReport:
-    """Numerically check the five sufficient smoothing-kernel conditions (1-D).
-
-    P1 scale identity, P2 piecewise differentiability (analytic gradient vs
-    central differences, exact zero outside the cutoff for q < 1), P3 unit
-    mass, P4 concentration of mass near 0 as beta shrinks, P5 convergence of
-    the smoothed value of ``test_function`` (default cosine) at 0. Failures
-    are recorded in the report, never raised.
-    """
-    betas = tuple(float(b) for b in beta_sequence)
-    if not betas or any(b <= 0.0 for b in betas):
-        raise ValueError("beta_sequence must contain positive values")
-    if any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("beta_sequence must be strictly decreasing")
-    if not q < 3.0:
-        raise ValueError(f"q must be < 3 (got {q})")
-    f = test_function if test_function is not None else math.cos
-    std = QGaussianSpec(q)
-    compact = q < 1.0
-    z_edge = cutoff_radius(q) if compact else 5.0
-
-    # P1: G_{q,beta}(x) = beta^-1 G_{q,1}(x / beta), pointwise.
-    worst1 = 0.0
-    z_pts = np.linspace(-0.95 * z_edge, 0.95 * z_edge, 41)
-    for b in betas:
-        spec_b = QGaussianSpec(q, b)
-        for z in z_pts:
-            x = b * z
-            lhs = pdf(x, spec_b)
-            rhs = pdf(z, std) / b
-            ref = max(abs(lhs), abs(rhs))
-            if ref > 0.0:
-                worst1 = max(worst1, abs(lhs - rhs) / ref)
-    p1 = PropertyCheck("P1-scale-identity", worst1 <= 1e-12, worst1, {"points": len(z_pts), "tol": 1e-12})
-
-    # P2: analytic gradient vs central differences inside the support; the
-    # density and its gradient are exactly zero beyond the cutoff for q < 1.
-    worst2 = 0.0
-    outside_ok = True
-    detail2: dict = {"tol": 1e-5}
-    for b in betas:
-        spec_b = QGaussianSpec(q, b)
-        for z in (-1.3, -0.7, -0.25, 0.25, 0.7, 1.3):
-            if compact and abs(z) >= 0.9 * z_edge:
-                continue
-            x = b * z
-            h = 1e-6 * b
-            fd = (pdf(x + h, spec_b) - pdf(x - h, spec_b)) / (2.0 * h)
-            an = _grad_formula(x, q, b, spec_b)
-            ref = max(abs(an), abs(fd))
-            if ref > 0.0:
-                worst2 = max(worst2, abs(an - fd) / ref)
-        if compact:
-            edge = b * (z_edge + 0.1)
-            if pdf(edge, spec_b) != 0.0 or _grad_formula(edge, q, b, spec_b) != 0.0:
-                outside_ok = False
-    if compact:
-        detail2["cutoff_detected"] = True
-        detail2["cutoff_radius_std"] = z_edge
-        detail2["zero_outside"] = outside_ok
-    p2 = PropertyCheck("P2-piecewise-differentiable", worst2 <= 1e-5 and outside_ok, worst2, detail2)
-
-    # P3: unit mass at every beta.
-    worst3 = 0.0
-    for b in betas:
-        spec_b = QGaussianSpec(q, b)
-        lo, hi = (-b * z_edge, b * z_edge) if compact else (-math.inf, math.inf)
-        mass = quad_checked(lambda x: pdf(x, spec_b), lo, hi, atol=1e-12, rtol=1e-10)
-        worst3 = max(worst3, abs(mass - 1.0))
-    p3 = PropertyCheck("P3-unit-mass", worst3 <= 1e-6, worst3, {"tol": 1e-6})
-
-    # P4: mass outside a fixed ball shrinks toward 0 along the beta sequence.
-    outside_mass = []
-    for b in betas:
-        spec_b = QGaussianSpec(q, b)
-        lo = max(-concentration_eps, -b * z_edge) if compact else -concentration_eps
-        inner = quad_checked(lambda x: pdf(x, spec_b), lo, -lo, atol=1e-12, rtol=1e-10)
-        outside_mass.append(max(0.0, 1.0 - inner))
-    # mass can reach exactly zero for compact supports, so require
-    # non-increase plus at least a halving over the whole sequence
-    dec4 = all(b2 <= b1 for b1, b2 in zip(outside_mass, outside_mass[1:]))
-    conc4 = outside_mass[-1] <= 0.5 * outside_mass[0] + 1e-15
-    p4 = PropertyCheck(
-        "P4-concentration",
-        dec4 and conc4,
-        outside_mass[-1],
-        {"epsilon": concentration_eps, "mass_outside": outside_mass},
-    )
-
-    # P5: the smoothed value converges to the true value as beta -> 0. The
-    # strict threshold applies where the kernel has a finite second moment
-    # (q < 5/3); heavier tails must still show monotone convergence.
-    errors5 = []
-    converged = True
-    for b in betas:
-        try:
-            errors5.append(abs(_smoothed_at_zero(f, q, b, std, z_edge) - f(0.0)))
-        except QuadratureError:
-            converged = False
-            errors5.append(math.nan)
-    dec5 = converged and all(e2 < e1 for e1, e2 in zip(errors5, errors5[1:]))
-    strict = q < 5.0 / 3.0
-    pass5 = dec5 and (errors5[-1] < 1e-3 if strict else True)
-    p5 = PropertyCheck(
-        "P5-smoothing-limit",
-        pass5,
-        errors5[-1] if converged else math.inf,
-        {"errors": errors5, "strict_threshold": strict},
-    )
-
-    return KernelPropertyReport(q=q, betas=betas, checks=(p1, p2, p3, p4, p5))
-
-
-def _smoothed_at_zero(f, q: float, beta: float, std: QGaussianSpec, z_edge: float) -> float:
-    """S_{q,beta}[f](0) by quadrature in standard units."""
-    if q < 1.0:
-        return quad_checked(lambda z: pdf(z, std) * f(-beta * z), -z_edge, z_edge)
-    if f is math.cos:
-        # Fourier-weight quadrature handles slowly decaying oscillatory tails.
-        return 2.0 * quad_checked(
-            lambda z: pdf(z, std), 0.0, math.inf, weight="cos", wvar=beta
-        )
-    return quad_checked(lambda z: pdf(z, std) * f(-beta * z), -math.inf, math.inf)

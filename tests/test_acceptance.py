@@ -28,22 +28,17 @@ from qsf.optimizer import (
     run_gaussian_sf,
     run_qsf,
 )
-from qsf.qgauss import (
-    QGaussianSpec,
-    cutoff_radius,
+from qsf.oracles import (
+    escort_identity_check,
     lambda_q,
     quadrature_cdf,
-    sample_batch,
-)
-from qsf.queuesim import QueueNetwork, QueueNetworkConfig
-from qsf.rng import RngStream
-from qsf.sfgrad import (
-    GradEstimatorConfig,
-    estimate_gradient,
-    escort_identity_check,
     smoothed_gradient_1d,
     verify_kernel_properties,
 )
+from qsf.qgauss import QGaussianSpec, cutoff_radius, sample_batch
+from qsf.queuesim import QueueNetwork, QueueNetworkConfig
+from qsf.rng import RngStream
+from qsf.sfgrad import GradEstimatorConfig, estimate_gradient
 
 Q_GRID = (0.0, 0.5, 0.9, 1.5, 2.0, 2.5)
 BETA_SEQ = (0.5, 0.1, 0.02)

@@ -18,10 +18,10 @@ from qsf.optimizer import (
     step_size_a,
     step_size_b,
 )
-from qsf.qgauss import lambda_q, sample_vector
+from qsf.oracles import lambda_q, smoothed_gradient_1d
+from qsf.qgauss import sample_vector
 from qsf.queuesim import QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream
-from qsf.sfgrad import smoothed_gradient_1d
 
 
 class QuadraticSystem:

@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsf.errors import QuadratureError, SupportBoundaryError
-from qsf.qgauss import QGaussianSpec, lambda_q, q_expectation, sample_matrix
-from qsf.rng import RngStream
-from qsf.sfgrad import (
-    GradEstimatorConfig,
+from qsf.oracles import (
     KernelPropertyReport,
-    estimate_gradient,
     escort_identity_check,
-    sf_weight,
+    lambda_q,
+    q_expectation,
     smoothed_gradient_1d,
-    smoothed_value,
     verify_kernel_properties,
 )
+from qsf.qgauss import QGaussianSpec, sample_matrix
+from qsf.rng import RngStream
+from qsf.sfgrad import GradEstimatorConfig, estimate_gradient, sf_weight, smoothed_value
 
 BETAS = (0.5, 0.1, 0.02)
 
