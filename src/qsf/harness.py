@@ -10,6 +10,12 @@ File outputs: ``sweep.csv`` (one row per trial, deterministic bytes),
 ``summary.csv`` / ``summary_stderr.csv`` (q rows by beta columns),
 ``timings.csv`` (wall times, excluded from the determinism guarantee), and
 ``trace_*.csv`` distance curves for single traced runs.
+
+The sweep runs its cells in lane batches of at most ``LANE_BATCH`` trials:
+each batch is one :func:`qsf.optimizer.run_lanes` call, so its per-block
+work is one NumPy step for all its trials, and with ``workers > 1`` whole
+batches go to the worker processes. A trial's ``wall_time`` is its share of
+its batch's run time.
 """
 
 from __future__ import annotations
@@ -24,12 +30,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .optimizer import RunTrace, TwoTimescaleConfig, run_qsf
+from .optimizer import RunTrace, TwoTimescaleConfig, run_lanes, run_qsf
 from .queuesim import QueueNetwork, QueueNetworkConfig
 from .rng import RngStream
 
 PAPER_Q_GRID = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 2.0, 2.5)
 PAPER_BETA_GRID = (0.0005, 0.005, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5)
+
+# Trials per run_lanes call. 32 lanes take the per-block NumPy calls off the
+# per-trial cost; larger batches gain little and hold more lanes (up to about
+# 30 KB each) at once.
+LANE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -95,30 +106,82 @@ class TrialRecord:
     wall_time: float
 
 
-@dataclass
+# One row per trial: TrialRecord's fields in their order, with q and beta as
+# indices into tables of their distinct values; 30 bytes a trial.
+_ROW = np.dtype([("q", "i4"), ("beta", "i4"), ("trial", "i4"), ("final_distance", "f8"),
+                 ("diverged", "?"), ("boundary_stuck", "?"), ("wall_time", "f8")])
+
+
+def _value_table(values) -> tuple:
+    """The index of each value in a table of the distinct values, and that
+    table; -0.0 and 0.0 get entries of their own, so every value keeps its bits."""
+    index = {}
+    codes = [index.setdefault((v, math.copysign(1.0, v)), len(index)) for v in values]
+    return codes, np.array([v for v, _ in index], dtype=float)
+
+
 class SweepResult:
-    config: ExperimentConfig
-    records: list
+    """The trial records of a sweep, kept as one structured array (_ROW);
+    ``records`` rebuilds the TrialRecord list."""
+
+    __slots__ = ("config", "_rows", "_qs", "_betas")
+
+    def __init__(self, config: ExperimentConfig, records: list):
+        self.config = config
+        q_codes, self._qs = _value_table([r.q for r in records])
+        beta_codes, self._betas = _value_table([r.beta for r in records])
+        self._rows = np.array(
+            [(qc, bc, r.trial, r.final_distance, r.diverged, r.boundary_stuck, r.wall_time)
+             for qc, bc, r in zip(q_codes, beta_codes, records)], dtype=_ROW)
+
+    def _records(self, rows: np.ndarray) -> list:
+        return [TrialRecord(*row) for row in zip(
+            self._qs[rows["q"]].tolist(), self._betas[rows["beta"]].tolist(), rows["trial"].tolist(),
+            rows["final_distance"].tolist(), rows["diverged"].tolist(),
+            rows["boundary_stuck"].tolist(), rows["wall_time"].tolist())]
+
+    @property
+    def records(self) -> list:
+        return self._records(self._rows)
+
+    def _cell(self, q: float, beta: float) -> np.ndarray:
+        rows = self._rows
+        return rows[(self._qs == q)[rows["q"]] & (self._betas == beta)[rows["beta"]]]
 
     def cell_records(self, q: float, beta: float) -> list:
-        return [r for r in self.records if r.q == q and r.beta == beta]
+        return self._records(self._cell(q, beta))
 
     def cell_mean(self, q: float, beta: float) -> float:
-        vals = [r.final_distance for r in self.cell_records(q, beta) if not r.diverged]
-        return float(np.mean(vals)) if vals else math.nan
+        return _mean(_distances(self._cell(q, beta)))
 
     def cell_stderr(self, q: float, beta: float) -> float:
-        vals = [r.final_distance for r in self.cell_records(q, beta) if not r.diverged]
-        if len(vals) < 2:
-            return math.nan
-        return float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        return _stderr(_distances(self._cell(q, beta)))
 
     def cell_divergent(self, q: float, beta: float) -> bool:
         """A summary cell counts as divergent when a majority of its trials
         tripped the tracker guard or finished stuck on the box boundary."""
-        recs = self.cell_records(q, beta)
-        flagged = sum(1 for r in recs if r.diverged or r.boundary_stuck)
-        return flagged > len(recs) / 2.0
+        return _divergent(self._cell(q, beta))
+
+
+# Statistics of one cell's rows, as SweepResult._cell returns them.
+
+def _distances(cell: np.ndarray) -> np.ndarray:
+    """The final distances of the cell's trials that did not diverge."""
+    return cell["final_distance"][~cell["diverged"]]
+
+
+def _mean(vals: np.ndarray) -> float:
+    return float(np.mean(vals)) if len(vals) else math.nan
+
+
+def _stderr(vals: np.ndarray) -> float:
+    if len(vals) < 2:
+        return math.nan
+    return float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+
+
+def _divergent(cell: np.ndarray) -> bool:
+    return int(np.count_nonzero(cell["diverged"] | cell["boundary_stuck"])) > len(cell) / 2.0
 
 
 def derive_cell_stream(base_seed: int, q_index: int, beta_index: int, trial: int) -> RngStream:
@@ -131,10 +194,10 @@ def _initial_distance(cfg: ExperimentConfig) -> float:
 
 
 def _build_trial(
-    cfg: ExperimentConfig, q_index: int, beta_index: int, trial: int
+    cfg: ExperimentConfig, cell: RngStream, q_index: int, beta_index: int
 ) -> tuple[QueueNetwork, TwoTimescaleConfig]:
-    """The fresh network and optimizer config of one (q, beta, trial) cell."""
-    cell = derive_cell_stream(cfg.base_seed, q_index, beta_index, trial)
+    """The fresh network and optimizer config of the (q, beta) cell whose
+    trial stream is ``cell``."""
     opt = cfg.optimizer
     run_cfg = TwoTimescaleConfig(
         num_iterations=opt.num_iterations,
@@ -150,48 +213,50 @@ def _build_trial(
     return QueueNetwork(cfg.network, cell.child("network")), run_cfg
 
 
+def _run_batch(cfg: ExperimentConfig, tasks: list) -> list:
+    """The TrialRecords of ``tasks``, (q_index, beta_index, trial, cell
+    stream) tuples, run as the lanes of one run_lanes call."""
+    built = [_build_trial(cfg, cell, qi, bi) for qi, bi, _, cell in tasks]
+    start = time.perf_counter()
+    traces = run_lanes([network for network, _ in built], [run_cfg for _, run_cfg in built])
+    share = (time.perf_counter() - start) / len(tasks)
+    opt, target, initial = cfg.optimizer, cfg.network.theta_target, _initial_distance(cfg)
+    records = []
+    for (qi, bi, trial, _), trace in zip(tasks, traces):
+        q, beta = cfg.q_values[qi], cfg.beta_values[bi]
+        if isinstance(trace, DivergenceError):
+            records.append(TrialRecord(q, beta, trial, math.nan, True, False, share))
+            continue
+        final = trace.final_theta
+        dist = float(np.linalg.norm(final - target))
+        on_boundary = bool(np.any(final == opt.box_min) or np.any(final == opt.box_max))
+        records.append(TrialRecord(q, beta, trial, dist, False, on_boundary and dist > initial, share))
+    return records
+
+
 def run_single_trial(cfg: ExperimentConfig, q_index: int, beta_index: int, trial: int) -> TrialRecord:
     """One (q, beta, trial) cell: fresh network, fresh streams, one optimizer run."""
-    network, run_cfg = _build_trial(cfg, q_index, beta_index, trial)
-    q, beta = run_cfg.q, run_cfg.beta
-    start = time.perf_counter()
-    try:
-        trace = run_qsf(network, run_cfg, keep_records=False)
-    except DivergenceError:
-        return TrialRecord(q, beta, trial, math.nan, True, False, time.perf_counter() - start)
-    elapsed = time.perf_counter() - start
-    final = trace.final_theta
-    opt = cfg.optimizer
-    dist = float(np.linalg.norm(final - cfg.network.theta_target))
-    on_boundary = bool(np.any(final == opt.box_min) or np.any(final == opt.box_max))
-    stuck = on_boundary and dist > _initial_distance(cfg)
-    return TrialRecord(q, beta, trial, dist, False, stuck, elapsed)
-
-
-def _worker(args) -> TrialRecord:
-    cfg, qi, bi, trial = args
-    return run_single_trial(cfg, qi, bi, trial)
+    cell = derive_cell_stream(cfg.base_seed, q_index, beta_index, trial)
+    return _run_batch(cfg, [(q_index, beta_index, trial, cell)])[0]
 
 
 def run_experiment(cfg: ExperimentConfig, *, workers: int = 1) -> SweepResult:
     """Execute the full sweep grid; outputs are independent of worker count."""
     tasks = [
-        (cfg, qi, bi, trial)
+        (qi, bi, trial, derive_cell_stream(cfg.base_seed, qi, bi, trial))
         for qi in range(len(cfg.q_values))
         for bi in range(len(cfg.beta_values))
         for trial in range(cfg.trials)
     ]
-    ids = {
-        derive_cell_stream(cfg.base_seed, qi, bi, t).stream_id for (_, qi, bi, t) in tasks
-    }
-    if len(ids) != len(tasks):
+    if len({cell.stream_id for *_, cell in tasks}) != len(tasks):
         raise ConfigError("cell stream-id collision detected; change base_seed")
+    batches = [(cfg, tasks[i : i + LANE_BATCH]) for i in range(0, len(tasks), LANE_BATCH)]
     if workers <= 1:
-        records = [_worker(t) for t in tasks]
+        parts = [_run_batch(*batch) for batch in batches]
     else:
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            records = pool.map(_worker, tasks, chunksize=1)
-    return SweepResult(config=cfg, records=records)
+        with multiprocessing.get_context("spawn").Pool(min(workers, len(batches))) as pool:
+            parts = pool.starmap(_run_batch, batches, chunksize=1)
+    return SweepResult(config=cfg, records=[r for part in parts for r in part])
 
 
 def trace_run(cfg: ExperimentConfig, q: float, beta: float, trial: int) -> RunTrace:
@@ -201,7 +266,7 @@ def trace_run(cfg: ExperimentConfig, q: float, beta: float, trial: int) -> RunTr
         bi = cfg.beta_values.index(float(beta))
     except ValueError as exc:
         raise ConfigError(f"(q={q}, beta={beta}) is not on the sweep grid") from exc
-    network, run_cfg = _build_trial(cfg, qi, bi, trial)
+    network, run_cfg = _build_trial(cfg, derive_cell_stream(cfg.base_seed, qi, bi, trial), qi, bi)
     return run_qsf(network, run_cfg)
 
 
@@ -262,12 +327,14 @@ def summarize(result: SweepResult, output_dir=None) -> list:
         row = [f"{q:g}"]
         erow = [f"{q:g}"]
         for b in cfg.beta_values:
-            if result.cell_divergent(q, b):
+            cell = result._cell(q, b)
+            if _divergent(cell):
                 row.append("DIV")
                 erow.append("DIV")
             else:
-                row.append(repr(result.cell_mean(q, b)))
-                se = result.cell_stderr(q, b)
+                vals = _distances(cell)
+                row.append(repr(_mean(vals)))
+                se = _stderr(vals)
                 erow.append("" if math.isnan(se) else repr(se))
         table.append(row)
         stderr_table.append(erow)

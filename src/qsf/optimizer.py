@@ -10,6 +10,25 @@ of steps at the perturbed parameter while a fast recursion Z tracks the
 with a(n) = 1/(n+1) and b(n) = 1/(n+1)^(2/3), so a(n) = o(b(n)) and both
 schedules are divergent with square-summable tails. The system's state is
 never reset between blocks: the recursion rides a single trajectory.
+
+The recursion is one lane loop, :func:`run_lanes`. K runs that share M, L,
+the box, theta0 and the flags advance block by block together, with theta,
+Z, the perturbations and the perturbed parameters held as (K, dim) arrays,
+so a block's bookkeeping is a fixed number of NumPy calls whatever K is;
+each lane's system still runs its L steps in a scalar loop. ``run_qsf``,
+``run_gaussian_sf`` and ``fast_timescale_diagnostic`` are one-lane calls,
+and the sweep runs batches of up to ``qsf.harness.LANE_BATCH`` = 32 lanes.
+A queue-network lane takes up to about 30 KB: five lookaheads of up to
+4 KB, six generators, and 64 blocks of perturbations (4 KB in dim 4).
+
+Every lane gets the bits of its own one-lane run. Elementwise + - * / and
+the min/max clamp round on rows as on a single vector. Dot products are
+the trap: NumPy's OpenBLAS ddot fuses multiply-adds, so on x86-64 with
+NumPy 2.4, 16% of 2-vector and 24% of 4-vector dots (200k random vectors)
+differ from a Python sum of products, and a rowwise einsum differs from a
+per-row ``@`` on up to 35% of rows. ``np.vecdot`` gives every row, contiguous
+or a strided column slice, the bits of that row's own ``@``; every row dot
+product here and in ``QueueNetwork.set_parameters`` is one.
 """
 
 from __future__ import annotations
@@ -35,6 +54,9 @@ class BlackBoxSystem(Protocol):
     ``set_parameter`` takes effect for subsequent steps without resetting the
     process state; ``step`` advances one transition and returns a finite,
     nonnegative cost sample. The system owns whatever randomness it uses.
+    A class may also provide a static ``set_parameters(systems, thetas)``
+    that installs row k of ``thetas`` on ``systems[k]``; :func:`run_lanes`
+    then calls it once per block for a batch of that class.
     """
 
     def set_parameter(self, theta: np.ndarray) -> None: ...
@@ -117,64 +139,114 @@ def project(theta: np.ndarray, box_min: np.ndarray, box_max: np.ndarray) -> np.n
     return np.minimum(np.maximum(theta, box_min), box_max)
 
 
+def _set_each(systems, thetas: np.ndarray) -> None:
+    for system, theta in zip(systems, thetas):
+        system.set_parameter(theta)
+
+
+def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
+              frozen_theta: np.ndarray | None = None) -> list:
+    """The two-timescale recursion for K lanes in lockstep; with
+    ``frozen_theta`` only its fast part.
+
+    Lane k runs ``systems[k]`` with ``cfgs[k]``. The configs may differ in
+    q, beta and seed; the loop takes M, L, the box, theta0, the block-start
+    flag and the guard from ``cfgs[0]``. Item k of the result is lane k's
+    RunTrace, or the DivergenceError of a lane whose tracker left the guard
+    band: that lane is dropped at that block and the others run on
+    unchanged. A frozen run holds theta at ``frozen_theta``: it takes no
+    slow step and no projection, and its traces keep no records.
+
+    Theta, Z and the perturbed parameters are (K, dim) arrays; each
+    elementwise operation rounds as its per-lane scalar form does, and every
+    row dot product is an ``np.vecdot`` (see the module docstring). Each
+    lane's system still runs its L steps in a scalar inner loop.
+    """
+    cfg = cfgs[0]
+    slow = frozen_theta is None
+    start = np.array(cfg.theta0 if slow else frozen_theta, dtype=float)
+    dim = start.shape[0]
+    theta = np.tile(start, (len(systems), 1))
+    z = np.zeros_like(theta)
+    q = np.array([c.q for c in cfgs])
+    beta = np.array([c.beta for c in cfgs])
+    coef = (1.0 - q) / (3.0 - q)
+    draws = [sample_vectors(c.seed.child("perturbation"), c.q, dim) for c in cfgs]
+    ell, guard, lo, hi = cfg.samples_per_iteration, cfg.z_guard, cfg.box_min, cfg.box_max
+    block_start_z = cfg.use_block_start_z
+    records = None
+    if keep_records and slow:
+        records = [[IterationRecord(0, start, z[0], math.nan)] for _ in systems]
+    install = getattr(type(systems[0]), "set_parameters", _set_each)
+    steps = [system.step for system in systems]
+    lanes = list(range(len(systems)))  # the caller's index of each live lane
+    out = [None] * len(systems)
+    n, m = 0, cfg.num_iterations
+    while n < m and lanes:
+        # One chunk of perturbations per lane, shaped (blocks, lanes, dim),
+        # with everything about them that does not depend on theta.
+        etas = np.stack([next(d) for d in draws], axis=1)[: m - n]
+        bs = [step_size_b(i) for i in range(n, n + len(etas))]
+        w = 1.0 / (1.0 - coef * np.vecdot(etas, etas))
+        gains = (np.array(bs)[:, None] * w / beta)[..., None]
+        shifts = beta[:, None] * etas
+        for j, b in enumerate(bs):
+            eta = etas[j]
+            install(systems, theta + shifts[j])
+            alpha = 1.0 - b
+            # Within a block eta and b are constant, so the inner recursion only
+            # needs the geometrically weighted cost sum s = sum alpha^(L-1-m) h_m:
+            # Z after the block is alpha^L Z + b w/beta * s * eta.
+            sums = []
+            for step in steps:
+                s = cost_sum = 0.0
+                for _ in range(ell):
+                    h = step()
+                    cost_sum += h
+                    s = alpha * s + h
+                sums.append((s, cost_sum, h))
+            z_start = z
+            # np.multiply(x, c) rounds as c * x does, and costs less with a
+            # Python float c
+            z = np.multiply(z, alpha**ell) + gains[j] * np.array(sums)[:, :1] * eta
+            ok = np.less_equal(np.abs(z), guard)  # also false for a NaN or infinite component
+            if np.count_nonzero(ok) < ok.size:  # record and drop the lanes that left the band
+                ok = ok.all(axis=1)
+                for i in np.flatnonzero(~ok):
+                    out[lanes[i]] = DivergenceError(
+                        iteration=n + j, perturbation=eta[i].copy(), cost=sums[i][2], z=z[i].copy())
+                keep = np.flatnonzero(ok).tolist()
+                lanes, systems, draws, sums = (
+                    [x[i] for i in keep] for x in (lanes, systems, draws, sums))
+                if records is not None:
+                    records = [records[i] for i in keep]
+                steps = [system.step for system in systems]
+                theta, z, z_start, beta, coef = theta[ok], z[ok], z_start[ok], beta[ok], coef[ok]
+                etas, gains, shifts = etas[:, ok], gains[:, ok], shifts[:, ok]
+                if not keep:
+                    break
+            if slow:
+                step_z = np.multiply(z_start if block_start_z else z, step_size_a(n + j))
+                theta = project(theta - step_z, lo, hi)
+                if records is not None:
+                    for i, rec in enumerate(records):
+                        rec.append(IterationRecord(n + j + 1, theta[i], z[i], sums[i][1] / ell))
+        n += len(etas)
+    for i, lane in enumerate(lanes):
+        out[lane] = RunTrace(records=tuple(records[i]) if records is not None else (),
+                             final_theta=theta[i].copy(), final_z=z[i].copy())
+    return out
+
+
 def _run_loop(
     system: BlackBoxSystem, cfg: TwoTimescaleConfig,
     keep_records: bool = True, frozen_theta: np.ndarray | None = None,
 ) -> RunTrace:
-    """The two-timescale recursion; with ``frozen_theta`` only its fast part.
-
-    A frozen run holds theta at ``frozen_theta``: it takes no slow step and
-    no projection, and its trace keeps no records.
-
-    Per block, theta and Z are Python floats. Elementwise + - * / and the
-    min/max clamp round exactly as the NumPy ufuncs did, so the outputs are
-    bit for bit those of an ndarray loop. Dot products are not: NumPy's
-    OpenBLAS ddot fuses multiply-adds, and on x86-64 with NumPy 2.4, 16% of
-    2-vector and 24% of 4-vector dots (200k random vectors) differ from a
-    Python sum of products, while a rowwise einsum differs from a per-row
-    ``@``. So every dot product stays a single-vector NumPy ``@``.
-    """
-    slow = frozen_theta is None
-    theta = (cfg.theta0 if slow else np.asarray(frozen_theta, dtype=float)).tolist()
-    dim = len(theta)
-    draws = sample_vectors(cfg.seed.child("perturbation"), cfg.q, dim)
-    coef = (1.0 - cfg.q) / (3.0 - cfg.q)
-    beta, ell, guard = cfg.beta, cfg.samples_per_iteration, cfg.z_guard
-    lo, hi = cfg.box_min.tolist(), cfg.box_max.tolist()
-    block_start_z = cfg.use_block_start_z
-    z = [0.0] * dim
-    records = [IterationRecord(0, np.array(theta), np.array(z), math.nan)] if keep_records and slow else None
-    step = system.step
-    set_parameter = system.set_parameter
-    for n, eta in zip(range(cfg.num_iterations), draws):
-        w = 1.0 / (1.0 - coef * float(eta @ eta))
-        eta_f = eta.tolist()
-        set_parameter(np.array([t + beta * e for t, e in zip(theta, eta_f)]))
-        b = step_size_b(n)
-        alpha = 1.0 - b
-        z_start = z
-        # Within a block eta and b are constant, so the inner recursion only
-        # needs the geometrically weighted cost sum s = sum alpha^(L-1-m) h_m:
-        # Z after the block is alpha^L Z + b w/beta * s * eta.
-        s = 0.0
-        cost_sum = 0.0
-        for _ in range(ell):
-            h = step()
-            cost_sum += h
-            s = alpha * s + h
-        decay = alpha**ell
-        gain = (b * w / beta) * s
-        z = [decay * v + gain * e for v, e in zip(z, eta_f)]
-        if not all(-guard <= v <= guard for v in z):  # also true for a NaN or infinite component
-            raise DivergenceError(iteration=n, perturbation=eta, cost=h, z=np.array(z))
-        if slow:
-            a = step_size_a(n)
-            z_update = z_start if block_start_z else z
-            # min(hi, max(lo, t)) breaks ties (signed zeros) as project() does
-            theta = [min(u, max(l, t - a * v)) for t, v, l, u in zip(theta, z_update, lo, hi)]
-            if records is not None:
-                records.append(IterationRecord(n + 1, np.array(theta), np.array(z), cost_sum / ell))
-    return RunTrace(records=tuple(records or ()), final_theta=np.array(theta), final_z=np.array(z))
+    """One lane of :func:`run_lanes`; raises its DivergenceError."""
+    (trace,) = run_lanes([system], [cfg], keep_records=keep_records, frozen_theta=frozen_theta)
+    if isinstance(trace, DivergenceError):
+        raise trace
+    return trace
 
 
 def run_qsf(system: BlackBoxSystem, cfg: TwoTimescaleConfig, *, keep_records: bool = True) -> RunTrace:

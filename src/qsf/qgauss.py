@@ -36,7 +36,7 @@ BALL = "ball"
 # would overflow on the boundary shell.
 BOUNDARY_MARGIN = 1e-12
 
-# Blocks per raw draw of sample_vectors.
+# Blocks per chunk of sample_vectors.
 _CHUNK = 64
 
 
@@ -159,37 +159,45 @@ def sample_vector(rng: RngStream, q: float, dim: int) -> np.ndarray:
 
 
 def sample_vectors(rng: RngStream, q: float, dim: int) -> Iterator[np.ndarray]:
-    """Endless iterator whose items equal successive ``sample_vector(rng, q, dim)``
-    calls, bit for bit.
+    """Endless iterator of (_CHUNK, dim) arrays whose rows, chunk after chunk,
+    equal successive ``sample_vector(rng, q, dim)`` calls, bit for bit.
 
-    The raw uniforms of ``_CHUNK`` blocks are taken in one draw, shaped
-    (_CHUNK, 2, dim) as the per-block calls read them (dim values of u1, then
-    dim of u2), and transformed by the same ufuncs at once; each item is a
-    row view of the result. The first block with an exact-zero uniform, or
-    (q < 1) a draw within BOUNDARY_MARGIN of the support radius, ends the
-    chunk: its raw values and all after them go back on the stream, and that
-    block is drawn by :func:`sample_vector` itself, which skips the zero or
-    redraws.
-    The stream must be private to the iterator, which reads ahead of the
-    items it has yielded.
+    The raw uniforms of the blocks still to fill are taken in one draw, shaped
+    (blocks, 2, dim) as the per-block calls read them (dim values of u1, then
+    dim of u2), and transformed by the same ufuncs at once. The first block
+    with an exact-zero uniform, or (q < 1) a draw within BOUNDARY_MARGIN of
+    the support radius, stops the copy: its raw values and all after them go
+    back on the stream, and that block is drawn by :func:`sample_vector`
+    itself, which skips the zero or redraws. A chunk reads exactly its own
+    blocks from the stream, no more.
     """
     if not q < 3.0:
         raise ValueError(f"sampling requires q < 3 (got q={q})")
-    dim = int(dim)
+    while True:
+        yield _vector_chunk(rng, q, int(dim))
+
+
+def _vector_chunk(rng: RngStream, q: float, dim: int) -> np.ndarray:
+    """The next chunk of :func:`sample_vectors`."""
     q_prime = (1.0 + q) / (3.0 - q)
     radius = cutoff_radius(q) if q < 1.0 else None
-    while True:
-        raw = rng.raw(_CHUNK * 2 * dim).reshape(_CHUNK, 2, dim)
+    out = np.empty((_CHUNK, dim))
+    i = 0
+    while i < _CHUNK:
+        raw = rng.raw((_CHUNK - i) * 2 * dim).reshape(-1, 2, dim)
         with np.errstate(divide="ignore", invalid="ignore"):  # an exact zero in u1
             z = _box_muller_transform(raw[:, 0], raw[:, 1], q_prime)
         bad = ~raw.all(axis=(1, 2))
         if radius is not None:
             bad |= (radius - np.abs(z) < BOUNDARY_MARGIN).any(axis=1)
-        k = int(bad.argmax()) if bad.any() else _CHUNK
-        yield from z[:k]
-        if k < _CHUNK:
+        k = int(bad.argmax()) if bad.any() else len(z)
+        out[i : i + k] = z[:k]
+        i += k
+        if i < _CHUNK:
             rng.unread(raw[k:].ravel())
-            yield sample_vector(rng, q, dim)
+            out[i] = sample_vector(rng, q, dim)
+            i += 1
+    return out
 
 
 def sample_matrix(rng: RngStream, q: float, rows: int, dim: int) -> np.ndarray:

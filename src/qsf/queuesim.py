@@ -21,6 +21,7 @@ draws only from its own streams.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from math import log
 
@@ -40,8 +41,10 @@ _EV_SVC1, _EV_SVC2, _EV_ARR1, _EV_ARR2 = range(4)
 _EVENT_NAMES = (EVENT_COMPLETION_1, EVENT_COMPLETION_2, EVENT_ARRIVAL_1, EVENT_ARRIVAL_2)
 _EVENT_NODES = (1, 2, 1, 2)
 
-# Streams, as indices into QueueNetwork._ahead, and their lookahead chunk size.
+# Streams, as indices into QueueNetwork._ahead, and the first and the largest
+# lookahead chunk. A short run reads only tens of draws from a stream.
 _ARR1, _ARR2, _SVC1, _SVC2, _ROUTE = range(5)
+_FIRST_CHUNK = 32
 _CHUNK = 512
 
 
@@ -91,6 +94,16 @@ class QueueState:
     theta: np.ndarray
 
 
+def _service_scales(gaps: np.ndarray, r: float) -> list:
+    """(1 + |gap|^2) / R for each row of ``gaps``.
+
+    ``np.vecdot`` gives every row the bits of that row's own ``gap @ gap``
+    (tests/test_optimizer.py gates this); a Python sum of squares, or a
+    rowwise einsum, rounds differently.
+    """
+    return [(1.0 + d) / r for d in np.vecdot(gaps, gaps).tolist()]
+
+
 def service_time(u: float, theta_i: np.ndarray, theta_bar_i: np.ndarray, R_i: float) -> float:
     """One service duration u * (1 + |theta_i - theta_bar_i|^2) / R_i."""
     if not 0.0 < u < 1.0:
@@ -98,26 +111,28 @@ def service_time(u: float, theta_i: np.ndarray, theta_bar_i: np.ndarray, R_i: fl
     gap = np.asarray(theta_i, float) - np.asarray(theta_bar_i, float)
     if gap.ndim != 1:
         raise ValueError("theta_i and theta_bar_i must be vectors")
-    return u * (1.0 + float(gap @ gap)) / R_i
+    return u * _service_scales(gap[None], R_i)[0]
 
 
 class QueueNetwork:
     """Mutable single-threaded simulator instance; one per trial.
 
-    Each of the five streams is read through its own lookahead list, filled
-    by :meth:`RngStream.random_list` in chunks of ``_CHUNK`` draws. A list
-    holds its chunk reversed, so the next draw is ``pop()``-ed off the end.
-    Every draw of a stream, including the first arrivals of :meth:`reset`,
-    comes through its list, so each stream is consumed in exactly the order
-    of one ``random()`` per draw.
+    Each of the five streams is read through its own lookahead, an
+    ``array('d')`` filled from :meth:`RngStream.raw` in chunks that double
+    from ``_FIRST_CHUNK`` to ``_CHUNK`` values (at most 4 KB, where a list of
+    512 floats took 16 KB). It holds its chunk reversed, exact zeros left
+    out, so the next draw is ``pop()``-ed off the end. Every draw of a
+    stream, including the first arrivals of :meth:`reset`, comes through its
+    lookahead, so each stream is consumed in exactly the order of one
+    ``random()`` per draw.
     """
 
     __slots__ = (
-        "config", "_arr1", "_arr2", "_svc1", "_svc2", "_route", "_ahead",
+        "config", "_arr1", "_arr2", "_svc1", "_svc2", "_route", "_ahead", "_chunks",
         "clock", "queue1", "queue2", "_ta1", "_ta2", "_tc1", "_tc2",
-        "_scale1", "_scale2", "_theta", "_target", "_shape", "_n1", "_r1", "_r2",
+        "_scale1", "_scale2", "_theta",
         "_lambda1", "_lambda2", "_p_exit", "_count_in_service",
-        "external_arrivals", "departures", "node1_completions", "node2_completions", "exits",
+        "external_arrivals", "node1_completions", "node2_completions", "exits",
         "_trace",
     )
 
@@ -128,16 +143,10 @@ class QueueNetwork:
         self._svc1 = rng.child("service", 1)
         self._svc2 = rng.child("service", 2)
         self._route = rng.child("routing")
-        self._ahead = ([], [], [], [], [])  # indexed by _ARR1 ... _ROUTE
+        self._ahead = tuple(array("d") for _ in range(5))  # indexed by _ARR1 ... _ROUTE
+        self._chunks = [_FIRST_CHUNK] * 5  # the next refill's size, per stream
         self._trace = [] if record_events else None
-        self._theta = config.theta_target.copy()
-        self._target = config.theta_target
-        self._shape = (config.dim,)
-        self._n1 = config.N1
-        self._r1 = config.R1
-        self._r2 = config.R2
-        self._scale1 = 1.0 / config.R1
-        self._scale2 = 1.0 / config.R2
+        self.set_parameter(config.theta_target)
         self._lambda1 = config.lambda1
         self._lambda2 = config.lambda2
         self._p_exit = config.p_exit
@@ -145,10 +154,16 @@ class QueueNetwork:
         self.reset()
 
     def _refill(self, k: int) -> float:
-        """Refill stream ``k``'s empty lookahead list and pop its next draw."""
+        """Refill stream ``k``'s empty lookahead and pop its next draw."""
         stream = (self._arr1, self._arr2, self._svc1, self._svc2, self._route)[k]
         ahead = self._ahead[k]
-        ahead.extend(reversed(stream.random_list(_CHUNK)))
+        while not ahead:
+            n = self._chunks[k]
+            self._chunks[k] = min(2 * n, _CHUNK)
+            raw = stream.raw(n)
+            if not raw.all():
+                raw = raw[raw > 0.0]  # skip exact zeros, as random() does
+            ahead.frombytes(raw[::-1].tobytes())
         return ahead.pop()
 
     def reset(self) -> None:
@@ -164,7 +179,6 @@ class QueueNetwork:
         self._tc1 = _INF
         self._tc2 = _INF
         self.external_arrivals = 0
-        self.departures = 0
         self.node1_completions = 0
         self.node2_completions = 0
         self.exits = 0
@@ -178,17 +192,26 @@ class QueueNetwork:
         lie outside any feasibility box (perturbed parameters are legal); the
         in-progress services keep their committed durations.
         """
-        theta = np.array(theta, dtype=float)  # a copy: the caller may reuse its array
-        if theta.shape != self._shape:
-            raise ValueError(f"theta must have shape {self._shape}, got {theta.shape}")
-        self._theta = theta
-        gap = theta - self._target
-        g1 = gap[: self._n1]
-        g2 = gap[self._n1 :]
-        # Single-vector NumPy dot products, as everywhere the bits matter
-        # (see optimizer._run_loop): a Python sum of squares rounds differently.
-        self._scale1 = (1.0 + float(g1 @ g1)) / self._r1
-        self._scale2 = (1.0 + float(g2 @ g2)) / self._r2
+        # a copy: the caller may reuse its array
+        QueueNetwork.set_parameters((self,), np.array(theta, dtype=float)[None])
+
+    @staticmethod
+    def set_parameters(networks, thetas: np.ndarray) -> None:
+        """:meth:`set_parameter` for a batch: row k of the (K, dim) array
+        ``thetas`` goes to ``networks[k]``. The networks must be built from
+        one config, and the caller must not change ``thetas`` afterwards:
+        each network keeps its row as its parameter."""
+        config = networks[0].config
+        if thetas.shape != (len(networks), config.dim):
+            raise ValueError(f"parameters must have shape ({len(networks)}, {config.dim}), "
+                             f"got {thetas.shape}")
+        gap = thetas - config.theta_target
+        scales1 = _service_scales(gap[:, : config.N1], config.R1)
+        scales2 = _service_scales(gap[:, config.N1 :], config.R2)
+        for net, theta, scale1, scale2 in zip(networks, thetas, scales1, scales2):
+            net._theta = theta
+            net._scale1 = scale1
+            net._scale2 = scale2
 
     @property
     def state(self) -> QueueState:
@@ -266,7 +289,6 @@ class QueueNetwork:
             ahead = self._ahead[_ROUTE]
             if (ahead.pop() if ahead else self._refill(_ROUTE)) < self._p_exit:
                 q1 = self.queue1
-                self.departures += 1
                 self.exits += 1
             else:
                 q1 = self.queue1 = self.queue1 + 1

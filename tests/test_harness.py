@@ -6,6 +6,7 @@ import pytest
 
 from qsf.errors import ConfigError
 from qsf.harness import (
+    LANE_BATCH,
     ExperimentConfig,
     OptimizerSettings,
     SweepResult,
@@ -191,6 +192,21 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     write_sweep_csv(run_experiment(cfg, workers=1), p1)
     write_sweep_csv(run_experiment(cfg, workers=2), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_lane_batches_do_not_change_bytes(tmp_path):
+    # 38 cells: a full batch of LANE_BATCH lanes, then a short one that
+    # spans both q values; against the same cells run one at a time
+    cfg = tiny_config(q_values=(0.9, 1.5), trials=19,
+                      optimizer=OptimizerSettings(num_iterations=12, samples_per_iteration=2))
+    assert LANE_BATCH < 38 < 2 * LANE_BATCH
+    single = SweepResult(cfg, [run_single_trial(cfg, qi, 0, t) for qi in range(2) for t in range(19)])
+    write_sweep_csv(single, tmp_path / "single.csv")
+    want = (tmp_path / "single.csv").read_bytes()
+    for workers in (1, 2):
+        path = tmp_path / f"w{workers}.csv"
+        write_sweep_csv(run_experiment(cfg, workers=workers), path)
+        assert path.read_bytes() == want
 
 
 def test_timings_written(tmp_path):

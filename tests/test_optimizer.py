@@ -1,10 +1,13 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsf import qgauss
 from qsf.errors import DivergenceError
 from qsf.optimizer import (
     IterationRecord,
@@ -14,6 +17,7 @@ from qsf.optimizer import (
     fast_timescale_diagnostic,
     project,
     run_gaussian_sf,
+    run_lanes,
     run_qsf,
     step_size_a,
     step_size_b,
@@ -401,3 +405,108 @@ def test_guard_trips_as_in_ndarray_loop(make_system, q):
     frozen = np.full(4, 2.0)
     want = outcome(lambda: ndarray_loop(make_system(), cfg, q, True, frozen_theta=frozen))
     assert outcome(lambda: fast_timescale_diagnostic(make_system(), frozen, cfg)) == want
+
+
+# ---------------------------------------------------------------------------
+# lanes: K recursions in lockstep
+
+
+def test_vecdot_rows_equal_per_row_matmul():
+    # The lane loop and QueueNetwork.set_parameters take their row dot
+    # products with np.vecdot; every row must get the bits of its own `@`.
+    g = np.random.default_rng(41).uniform(-3.0, 8.0, (100_000, 4))
+    for rows in [g] + [part for n1 in (1, 2, 3) for part in (g[:, :n1], g[:, n1:])]:
+        contiguous = np.ascontiguousarray(rows)
+        want = np.array([r @ r for r in contiguous]).tobytes()
+        assert np.vecdot(rows, rows).tobytes() == want
+        assert np.vecdot(contiguous, contiguous).tobytes() == want
+        stacked = contiguous.reshape(1000, 100, -1)  # (blocks, lanes, dim), as the perturbations
+        assert np.vecdot(stacked, stacked).tobytes() == want
+
+
+class ScriptedSeed(RngStream):
+    """A seed whose perturbation stream starts with ``head``, then runs on."""
+
+    def __init__(self, seed, head):
+        super().__init__(seed)
+        self.head = head
+
+    def child(self, *tags):
+        stream = super().child(*tags)
+        if tags == ("perturbation",):
+            stream.unread(self.head)
+        return stream
+
+
+def lane_cfg(q, beta, seed):
+    # Uniforms for 40 blocks in dim 4: an exact zero in block 3, which
+    # sample_vector skips, and for q < 1 a draw on the support radius in
+    # block 6 (u1 -> 0, u2 = 1/2 give |z| = sqrt((3-q)/(1-q))), which it redraws.
+    raw = np.random.default_rng(seed).uniform(0.05, 0.95, (40, 2, 4))
+    raw[3, 1, 2] = 0.0
+    if q < 1.0:
+        raw[6, 0, 1], raw[6, 1, 1] = 1e-300, 0.5
+    return replace(network_cfg(q, seed, False, beta=beta), seed=ScriptedSeed(seed, raw.ravel()))
+
+
+LANE_QS = (0.0, 0.5, 0.9, 1.0, 1.5, 2.5)
+
+
+def replay(result):
+    """A run that returns a lane's trace, or raises its DivergenceError."""
+    def run():
+        if isinstance(result, DivergenceError):
+            raise result
+        return result
+    return run
+
+
+def test_lanes_match_one_lane_runs_bitwise(monkeypatch):
+    cells = [(q, beta) for q in LANE_QS for beta in (0.25, 2.5)]
+    cfgs = [lane_cfg(q, beta, 50 + i) for i, (q, beta) in enumerate(cells)]
+    fallbacks = Counter()
+    draw = qgauss.sample_vector
+
+    def counted(rng, q, dim):
+        fallbacks[q] += 1
+        return draw(rng, q, dim)
+
+    monkeypatch.setattr(qgauss, "sample_vector", counted)
+    lanes = run_lanes([fresh_network(i) for i in range(len(cfgs))], cfgs, keep_records=True)
+    assert fallbacks == {q: 4 if q < 1.0 else 2 for q in LANE_QS}  # two lanes per q
+    for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
+        got = outcome(replay(lane))
+        assert got[0] == "ran" and len(got[3]) == cfg.num_iterations + 1
+        assert got == outcome(lambda: run_qsf(fresh_network(i), cfg))
+        assert got == outcome(lambda: ndarray_loop(fresh_network(i), cfg, cfg.q, True))
+
+
+class BlowUpNetwork(QueueNetwork):
+    """A queue network whose cost turns infinite after ``after`` steps."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, config, rng, after):
+        super().__init__(config, rng)
+        self.left = after
+
+    def step(self):
+        self.left -= 1
+        return math.inf if self.left < 0 else super().step()
+
+
+def test_a_diverging_lane_is_dropped_and_the_others_keep_their_bits():
+    cfgs = [network_cfg(q, 60 + i, False) for i, q in enumerate((0.5, 1.0, 1.5, 2.5))]
+
+    def system(i):
+        if i == 1:
+            return BlowUpNetwork(QueueNetworkConfig(), RngStream(i, 1), after=200)
+        return fresh_network(i)
+
+    lanes = run_lanes([system(i) for i in range(4)], cfgs)
+    assert isinstance(lanes[1], DivergenceError)
+    for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
+        alone = outcome(lambda: run_qsf(system(i), cfg, keep_records=False))
+        assert outcome(replay(lane)) == alone
+        assert alone[0] == ("diverged" if i == 1 else "ran")
+    assert lanes[1].iteration == 200 // cfgs[1].samples_per_iteration

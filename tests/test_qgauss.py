@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -346,9 +347,9 @@ def test_sample_vector_gaussian_components_normal():
 
 
 def assert_rows_match_sample_vector(make_stream, q, dim, blocks):
-    """The first ``blocks`` items of sample_vectors equal as many successive
-    sample_vector calls on an identical stream, bit for bit."""
-    rows = sample_vectors(make_stream(), q, dim)
+    """The first ``blocks`` rows of sample_vectors' chunks equal as many
+    successive sample_vector calls on an identical stream, bit for bit."""
+    rows = itertools.chain.from_iterable(sample_vectors(make_stream(), q, dim))
     single = make_stream()
     for n in range(blocks):
         got, want = next(rows), sample_vector(single, q, dim)
@@ -402,8 +403,7 @@ def test_sample_vectors_boundary_redraw_mid_chunk(dim):
     assert radius - abs(z_edge[j]) < qgauss.BOUNDARY_MARGIN
     head = raw.ravel()
     assert_rows_match_sample_vector(lambda: scripted_head(head), q, dim, 60)
-    rows = sample_vectors(scripted_head(head), q, dim)
-    got = [next(rows) for _ in range(k + 1)]
+    got = next(sample_vectors(scripted_head(head), q, dim))
     assert np.all(np.abs(got[k]) < radius - qgauss.BOUNDARY_MARGIN)
     assert got[k][j] != z_edge[j]  # redrawn
 

@@ -1,4 +1,5 @@
 import math
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_conservation_and_clock_monotonicity(seed):
         assert net.clock >= prev
         prev = net.clock
         assert net.queue1 >= 0 and net.queue2 >= 0
-        assert net.external_arrivals - net.departures == net.in_system
+        assert net.external_arrivals - net.exits == net.in_system
         snap = net.state
         assert snap.next_arrival1 >= snap.clock and snap.next_arrival2 >= snap.clock
         assert (snap.next_completion1 is not None) == (snap.queue1 > 0)
@@ -343,6 +344,37 @@ def test_lookahead_lists_match_one_draw_per_call(count_in_service):
     # each event of a kind took at least one draw from its stream, and more
     # than 2032 draws take at least four refills of 512
     assert min(Counter(e[1] for e in trace).values()) > 2032
+
+
+class ZeroHeads(RngStream):
+    """A seed whose child streams all start with ``HEAD``, then run on."""
+
+    HEAD = np.random.default_rng(22).uniform(0.01, 0.99, 300)
+    # exact zeros, at the edges of the growing lookahead chunks among others
+    HEAD[[0, 31, 32, 33, 95, 96, 150, 223, 224]] = 0.0
+
+    def child(self, *tags):
+        stream = super().child(*tags)
+        stream.unread(self.HEAD)
+        return stream
+
+
+@pytest.mark.parametrize("count_in_service", [True, False])
+def test_lookahead_arrays_skip_exact_zeros_as_random_does(count_in_service):
+    cfg = QueueNetworkConfig(count_in_service=count_in_service)
+    net = QueueNetwork(cfg, ZeroHeads(23), record_events=True)
+    ref = ReferenceNetwork(cfg, ZeroHeads(23))
+    assert all(isinstance(ahead, array) and ahead.typecode == "d" for ahead in net._ahead)
+    costs, ref_costs = [], []
+    for theta in np.random.default_rng(1).uniform(-1.0, 6.0, size=(12, 4)):
+        net.set_parameter(theta)
+        ref.set_parameter(theta)
+        costs += [net.step() for _ in range(500)]
+        ref_costs += [ref.step() for _ in range(500)]
+    assert costs == ref_costs
+    assert net.event_trace == ref.trace
+    # each kind of event drew from its stream past the scripted head
+    assert min(Counter(e[1] for e in ref.trace).values()) > len(ZeroHeads.HEAD)
 
 
 # ---------------------------------------------------------------------------
