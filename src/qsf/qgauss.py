@@ -16,6 +16,12 @@ Sampling uses the generalized Box-Muller transform: with q' = (1+q)/(3-q),
 
 has exactly the standard (beta = 1, mu = 0) density above; at q = 1 this is
 the classical Box-Muller transform. Density evaluation lives in qsf.oracles.
+
+:func:`sample_batch` holds two full-size arrays at its peak, the uniforms
+U1 and U2: it transforms them ARRAY_BLOCK = 65,536 values at a time, writes
+each block of draws back over its U1 block, and looks for draws on the
+q < 1 support boundary block by block too. The transform and the boundary
+test are elementwise, so the draws have the bits of a whole-array transform.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ BOUNDARY_MARGIN = 1e-12
 
 # Blocks per chunk of sample_vectors.
 _CHUNK = 64
+
+# Values (qgauss) or rows (sfgrad) per block of full-size array work, 512 KB
+# of doubles. Fixed: the estimator's Kahan blocks, and so its bits, depend on it.
+ARRAY_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -121,10 +131,26 @@ def _box_muller_transform(u1: np.ndarray, u2: np.ndarray, q_prime: float) -> np.
 
 
 def _box_muller(rng: RngStream, q_prime: float, n: int) -> np.ndarray:
-    """n generalized Box-Muller draws, without the support-boundary redraw."""
-    u1 = rng.random_array(n)
+    """n generalized Box-Muller draws, without the support-boundary redraw.
+
+    Each block of draws is written back over its block of the first uniform
+    array, which the call returns.
+    """
+    z = rng.random_array(n)
     u2 = rng.random_array(n)
-    return _box_muller_transform(u1, u2, q_prime)
+    for s in range(0, n, ARRAY_BLOCK):
+        b = slice(s, s + ARRAY_BLOCK)
+        z[b] = _box_muller_transform(z[b], u2[b], q_prime)
+    return z
+
+
+def _near_boundary(z: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the draws within BOUNDARY_MARGIN of the support radius."""
+    near = np.empty(len(z), dtype=bool)
+    for s in range(0, len(z), ARRAY_BLOCK):
+        b = slice(s, s + ARRAY_BLOCK)
+        np.less(radius - np.abs(z[b]), BOUNDARY_MARGIN, out=near[b])
+    return np.flatnonzero(near)
 
 
 def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
@@ -140,11 +166,11 @@ def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
     if q >= 1.0:
         return z
     radius = cutoff_radius(q)
-    pending = (radius - np.abs(z) < BOUNDARY_MARGIN).nonzero()[0]
+    pending = _near_boundary(z, radius)
     while pending.size:
         redraw = _box_muller(rng, q_prime, pending.size)
         z[pending] = redraw
-        pending = pending[radius - np.abs(redraw) < BOUNDARY_MARGIN]
+        pending = pending[_near_boundary(redraw, radius)]
     return z
 
 

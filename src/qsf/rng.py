@@ -19,6 +19,31 @@ _MASK64 = (1 << 64) - 1
 _EMPTY = np.empty(0)
 
 
+class _PhiloxKey(numpy.random.bit_generator.ISeedSequence):
+    """Seed that hands Philox its 128-bit key ``(seed << 64) | stream_id``.
+
+    ``Philox(key=...)`` would first build an OS-entropy ``SeedSequence``
+    whose state the key then overrides; that costs about as much again as
+    the generator itself. Philox asks its seed for two 64-bit words, which
+    become the key words low word first, so the stream is the one of
+    ``Philox(key=...)`` bit for bit. Any other request raises, so that a
+    NumPy that seeds Philox differently fails loudly instead of moving
+    every stream.
+    """
+
+    def __init__(self, seed: int, stream_id: int):
+        self.seed = seed
+        self.stream_id = stream_id
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(
+                f"Philox asked its seed for {n_words} words of {np.dtype(dtype)}, "
+                "not the 2 uint64 key words"
+            )
+        return np.array([self.stream_id, self.seed], dtype=np.uint64)
+
+
 def derive_stream_id(seed: int, stream_id: int, tags: tuple) -> int:
     """Hash a parent stream identity plus tags into a new 64-bit stream id."""
     payload = repr((int(seed) & _MASK64, int(stream_id) & _MASK64, tags))
@@ -33,7 +58,7 @@ class RngStream:
     children never builds one. The stream keeps no read-ahead of its own:
     every request is served by the generator, after any values put back by
     :meth:`unread`. Philox yields its doubles in the same order whatever the
-    request sizes, so interleaving scalar, list and array requests is
+    request sizes, so interleaving scalar and array requests is
     deterministic: together they read one logical sequence. One stream must
     not be shared across threads.
     """
@@ -60,7 +85,7 @@ class RngStream:
     def raw(self, n: int) -> np.ndarray:
         """The next ``n`` values of the logical sequence, exact zeros included."""
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(key=(self.seed << 64) | self.stream_id))
+            self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
         back = self._back
         if not len(back):
             return self._gen.random(n)
@@ -81,16 +106,6 @@ class RngStream:
         the tail this way.
         """
         self._back = np.concatenate((values, self._back))
-
-    def random_list(self, n: int) -> list:
-        """The next ``n`` draws of :meth:`random`, as a Python list."""
-        out = self.raw(n)
-        if out.all():
-            return out.tolist()
-        vals = [v for v in out.tolist() if v > 0.0]  # skip exact zeros, as random() does
-        while len(vals) < n:
-            vals.append(self.random())
-        return vals
 
     def random_array(self, n: int) -> np.ndarray:
         """``n`` uniforms in (0, 1), consumed from the same logical stream.

@@ -289,9 +289,9 @@ def test_single_trial_builds_generators_only_for_streams_it_draws_from(monkeypat
     keys = []
     philox = np.random.Philox
 
-    def counting_philox(*args, **kwargs):
-        keys.append(kwargs["key"])
-        return philox(*args, **kwargs)
+    def counting_philox(seed):  # an rng._PhiloxKey
+        keys.append((seed.seed << 64) | seed.stream_id)
+        return philox(seed)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     cfg = tiny_config()

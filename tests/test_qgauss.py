@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qsf.qgauss import (
 )
 from qsf.harness import PAPER_Q_GRID
 from qsf.rng import RngStream
+from test_rng import scripted_stream
 
 Q_GRID = (0.0, 0.5, 0.9, 1.5, 2.0, 2.5)
 
@@ -268,6 +270,74 @@ def test_boundary_draws_are_redrawn_in_place():
     redraw = sample_batch(ScriptedUniforms([0.4], [0.2]), 0.0, 1)
     assert np.array_equal(z, [first[0], redraw[0], first[1]])
     assert np.all(np.abs(z) < radius)
+
+
+def reference_sample_batch(rng, q, n):
+    """The sampler as whole-array steps: the transform and the boundary test
+    each on all n values at once."""
+    q_prime = (1.0 + q) / (3.0 - q)
+
+    def box_muller(k):
+        u1 = rng.random_array(k)
+        u2 = rng.random_array(k)
+        if q_prime == 1.0:
+            r2 = -2.0 * np.log(u1)
+        else:
+            r2 = -2.0 * ((u1 ** (1.0 - q_prime) - 1.0) / (1.0 - q_prime))
+        np.maximum(r2, 0.0, out=r2)
+        return np.sqrt(r2) * np.cos(2.0 * math.pi * u2)
+
+    z = box_muller(n)
+    if q >= 1.0:
+        return z
+    radius = cutoff_radius(q)
+    pending = (radius - np.abs(z) < qgauss.BOUNDARY_MARGIN).nonzero()[0]
+    while pending.size:
+        redraw = box_muller(pending.size)
+        z[pending] = redraw
+        pending = pending[radius - np.abs(redraw) < qgauss.BOUNDARY_MARGIN]
+    return z
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 1.0, 1.5, 2.5])
+def test_blocked_sampler_equals_whole_array_reference(q):
+    # Three blocks and a partial fourth. Exact zeros sit on the last value of
+    # u1's first block and the first of u2's second. For q < 1, u1 = 1e-300
+    # with u2 = 0.5 puts |z| on the support radius on both sides of the
+    # second block edge, and the first redraw lands there again.
+    b = qgauss.ARRAY_BLOCK
+    n = 3 * b + 123
+    values = RngStream(65).raw(2 * n + 12)
+    u1, u2 = values[:n], values[n + 1 : 2 * n + 1]  # u1's zero is replaced by values[n]
+    u1[b - 1] = 0.0
+    u2[b] = 0.0  # replaced by values[2n + 1]
+    if q < 1.0:
+        u1[2 * b - 1 : 2 * b + 1] = 1e-300
+        u2[2 * b - 1 : 2 * b + 1] = 0.5
+        values[2 * n + 2], values[2 * n + 4] = 1e-300, 0.5  # the first redraw of u1[2b - 1]
+    got_stream, want_stream = scripted_stream(values), scripted_stream(values)
+    got = sample_batch(got_stream, q, n)
+    want = reference_sample_batch(want_stream, q, n)
+    assert got.tobytes() == want.tobytes()
+    assert got_stream._gen.values == want_stream._gen.values
+    # two replacements, then for q < 1 redraws of two values and of one
+    assert len(got_stream._gen.values) == (10 if q >= 1.0 else 4)
+    if q < 1.0:
+        assert np.all(np.abs(got) < cutoff_radius(q) - qgauss.BOUNDARY_MARGIN)
+
+
+def test_sample_batch_memory_peak():
+    # tracemalloc sees NumPy's buffers: the peak is the two uniform arrays
+    # and one block's temporaries, whatever the allocator or RSS do
+    n = 2**20
+    for q in (0.5, 1.0, 1.5):
+        tracemalloc.start()
+        try:
+            sample_batch(RngStream(66), q, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * n * 8, (q, peak / (n * 8))
 
 
 def test_q_expectation_mc_signals_nonconvergence():

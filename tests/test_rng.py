@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsf.rng import RngStream, derive_stream_id
+from qsf.rng import RngStream, _PhiloxKey, derive_stream_id
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -22,15 +22,14 @@ def test_scalar_and_array_draws_share_one_stream():
     assert np.array_equal(np.array(mixed), b.random_array(12))
 
 
-@pytest.mark.parametrize("seed,sid", [(3, 5), (2**64 - 1, 12345)])
+@pytest.mark.parametrize("seed,sid", [(3, 5), (2**64 - 1, 12345), (0, 0), (2**64 - 1, 2**64 - 1)])
 def test_mixed_requests_read_the_plain_philox_sequence(seed, sid):
-    # Scalar, list and array requests of every size, across buffer fills and
-    # bulk array draws, read one sequence: the plain generator's on the same key.
+    # Scalar and array requests of every size read one sequence: that of
+    # Generator(Philox(key=...)) on the same key, down to the extreme keys.
     s = RngStream(seed, sid)
     got = []
     for n in (1, 3, 16, 17, 5, 100, 9000, 2, 30000, 7, 1025, 4):
         got += [s.random() for _ in range(n % 50)]
-        got += s.random_list(n)
         got += list(s.random_array(n))
     want = np.random.Generator(np.random.Philox(key=(seed << 64) | sid)).random(len(got))
     assert np.array_equal(np.array(got), want)
@@ -57,13 +56,16 @@ def scripted_stream(values):
     return s
 
 
-def test_exact_zeros_are_skipped_by_scalar_and_list_draws():
+def test_philox_key_refuses_other_state_requests():
+    with pytest.raises(RuntimeError, match="not the 2 uint64 key words"):
+        _PhiloxKey(3, 5).generate_state(4, np.uint32)
+
+
+def test_exact_zeros_are_skipped_by_scalar_draws():
     values = [0.5, 0.0, 0.25] + [0.0] * 3 + [i / 100 for i in range(1, 100)]
     singles = scripted_stream(values)
     want = [singles.random() for _ in range(40)]
     assert 0.0 not in want and want[:3] == [0.5, 0.25, 0.01]
-    lists = scripted_stream(values)
-    assert lists.random_list(2) + lists.random_list(20) + lists.random_list(18) == want
 
 
 def test_exact_zero_in_array_is_replaced_after_the_array():
@@ -73,7 +75,6 @@ def test_exact_zero_in_array_is_replaced_after_the_array():
 
 READERS = {
     "random": lambda s, n: [s.random() for _ in range(n)],
-    "random_list": lambda s, n: s.random_list(n),
     "random_array": lambda s, n: s.random_array(n).tolist(),
 }
 
@@ -88,20 +89,15 @@ def test_unread_puts_raw_values_back_in_order(take, back):
         if take:
             assert s.random() == ref.random()
             head = s.raw(take)
-            want = ref.random_list(take + 50)
+            want = [ref.random() for _ in range(take + 50)]
         else:
             head = np.array([0.75, 0.5, 0.25])
-            want = head.tolist() + ref.random_list(50)
+            want = head.tolist() + [ref.random() for _ in range(50)]
         s.unread(head[len(head) - back :])
         assert take or s._gen is None
         s.unread(s.raw(1))  # a put-back in front of what is left of another
         got = head[: len(head) - back].tolist() + read(s, back + 20) + read(s, 30)
         assert got == want, name
-
-
-def test_random_list_returns_python_floats():
-    vals = RngStream(8).random_list(20)
-    assert len(vals) == 20 and all(type(v) is float and 0.0 < v < 1.0 for v in vals)
 
 
 def test_distinct_stream_ids_decorrelate():
