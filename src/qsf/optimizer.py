@@ -15,11 +15,16 @@ The recursion is one lane loop, :func:`run_lanes`. K runs that share M, L,
 the box, theta0 and the flags advance block by block together, with theta,
 Z, the perturbations and the perturbed parameters held as (K, dim) arrays,
 so a block's bookkeeping is a fixed number of NumPy calls whatever K is;
-each lane's system still runs its L steps in a scalar loop. ``run_qsf``,
-``run_gaussian_sf`` and ``fast_timescale_diagnostic`` are one-lane calls,
-and the sweep runs batches of up to ``qsf.harness.LANE_BATCH`` = 32 lanes.
-A queue-network lane takes up to about 30 KB: five lookaheads of up to
-4 KB, six generators, and 64 blocks of perturbations (4 KB in dim 4).
+each lane's system still runs its L steps in a scalar loop. The
+perturbations of 64 blocks of all lanes come from one
+:func:`qsf.qgauss.sample_lanes` call. ``run_qsf``, ``run_gaussian_sf`` and
+``fast_timescale_diagnostic`` are one-lane calls, and the sweep runs batches
+of up to ``qsf.harness.LANE_BATCH`` = 32 lanes. A queue-network lane holds
+up to about 25 KB of its own: five lookaheads of up to 4 KB and six
+generators of about 0.8 KB. In dim 4, drawing a chunk peaks at about 10 KB
+a lane more (the stacked raw uniforms, the output and the transform's
+temporaries), and the chunk's perturbations and their shifts keep 4 KB a
+lane through its blocks.
 
 Every lane gets the bits of its own one-lane run. Elementwise + - * / and
 the min/max clamp round on rows as on a single vector. Dot products are
@@ -42,10 +47,17 @@ import numpy as np
 from .errors import DivergenceError
 # sample_vector stays importable from here: perfbench's tracer patches it in
 # every module that imported it by name.
-from .qgauss import sample_vector, sample_vectors  # noqa: F401
+from .qgauss import sample_lanes, sample_vector  # noqa: F401
 from .rng import RngStream
 
 Z_GUARD_DEFAULT = 1e12
+
+# Blocks of perturbations drawn per sample_lanes call.
+_CHUNK = 64
+
+# The TwoTimescaleConfig fields that all lanes of one run_lanes call share.
+_SHARED_FIELDS = ("num_iterations", "samples_per_iteration", "box_min", "box_max", "theta0",
+                  "use_block_start_z", "z_guard")
 
 
 class BlackBoxSystem(Protocol):
@@ -150,8 +162,9 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
     ``frozen_theta`` only its fast part.
 
     Lane k runs ``systems[k]`` with ``cfgs[k]``. The configs may differ in
-    q, beta and seed; the loop takes M, L, the box, theta0, the block-start
-    flag and the guard from ``cfgs[0]``. Item k of the result is lane k's
+    q, beta and seed only: M, L, the box, theta0, the block-start flag and
+    the guard must be the same in all of them (ValueError names the first
+    field that is not). Item k of the result is lane k's
     RunTrace, or the DivergenceError of a lane whose tracker left the guard
     band: that lane is dropped at that block and the others run on
     unchanged. A frozen run holds theta at ``frozen_theta``: it takes no
@@ -163,18 +176,25 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
     lane's system still runs its L steps in a scalar inner loop.
     """
     cfg = cfgs[0]
+    for k, c in enumerate(cfgs[1:], 1):
+        for name in _SHARED_FIELDS:
+            mine, first = getattr(c, name), getattr(cfg, name)
+            if mine is not first and not np.array_equal(mine, first):
+                raise ValueError(f"lane {k} has another {name} than lane 0; "
+                                 f"the lanes of one run must share it")
     slow = frozen_theta is None
     start = np.array(cfg.theta0 if slow else frozen_theta, dtype=float)
     dim = start.shape[0]
     theta = np.tile(start, (len(systems), 1))
     z = np.zeros_like(theta)
-    q = np.array([c.q for c in cfgs])
+    qs = [c.q for c in cfgs]
+    q = np.array(qs)
     beta = np.array([c.beta for c in cfgs])
     coef = (1.0 - q) / (3.0 - q)
-    draws = [sample_vectors(c.seed.child("perturbation"), c.q, dim) for c in cfgs]
+    rngs = [c.seed.child("perturbation") for c in cfgs]
     ell, guard, lo, hi = cfg.samples_per_iteration, cfg.z_guard, cfg.box_min, cfg.box_max
     block_start_z = cfg.use_block_start_z
-    records = None
+    records = means = None
     if keep_records and slow:
         records = [[IterationRecord(0, start, z[0], math.nan)] for _ in systems]
     install = getattr(type(systems[0]), "set_parameters", _set_each)
@@ -183,9 +203,9 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
     out = [None] * len(systems)
     n, m = 0, cfg.num_iterations
     while n < m and lanes:
-        # One chunk of perturbations per lane, shaped (blocks, lanes, dim),
-        # with everything about them that does not depend on theta.
-        etas = np.stack([next(d) for d in draws], axis=1)[: m - n]
+        # One chunk of perturbations for all lanes, shaped (blocks, lanes,
+        # dim), with everything about them that does not depend on theta.
+        etas = sample_lanes(rngs, qs, dim, min(_CHUNK, m - n))
         bs = [step_size_b(i) for i in range(n, n + len(etas))]
         w = 1.0 / (1.0 - coef * np.vecdot(etas, etas))
         gains = (np.array(bs)[:, None] * w / beta)[..., None]
@@ -196,30 +216,42 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
             alpha = 1.0 - b
             # Within a block eta and b are constant, so the inner recursion only
             # needs the geometrically weighted cost sum s = sum alpha^(L-1-m) h_m:
-            # Z after the block is alpha^L Z + b w/beta * s * eta.
-            sums = []
-            for step in steps:
-                s = cost_sum = 0.0
-                for _ in range(ell):
-                    h = step()
-                    cost_sum += h
-                    s = alpha * s + h
-                sums.append((s, cost_sum, h))
+            # Z after the block is alpha^L Z + b w/beta * s * eta. The last
+            # cost h goes into a DivergenceError, the block mean into records.
+            sums, lasts = [], []
+            if records is None:
+                for step in steps:
+                    s = 0.0
+                    for _ in range(ell):
+                        h = step()
+                        s = alpha * s + h
+                    sums.append(s)
+                    lasts.append(h)
+            else:
+                means = []
+                for step in steps:
+                    s = cost_sum = 0.0
+                    for _ in range(ell):
+                        h = step()
+                        cost_sum += h
+                        s = alpha * s + h
+                    sums.append(s)
+                    lasts.append(h)
+                    means.append(cost_sum / ell)
             z_start = z
             # np.multiply(x, c) rounds as c * x does, and costs less with a
             # Python float c
-            z = np.multiply(z, alpha**ell) + gains[j] * np.array(sums)[:, :1] * eta
+            z = np.multiply(z, alpha**ell) + gains[j] * np.array(sums)[:, None] * eta
             ok = np.less_equal(np.abs(z), guard)  # also false for a NaN or infinite component
             if np.count_nonzero(ok) < ok.size:  # record and drop the lanes that left the band
                 ok = ok.all(axis=1)
                 for i in np.flatnonzero(~ok):
                     out[lanes[i]] = DivergenceError(
-                        iteration=n + j, perturbation=eta[i].copy(), cost=sums[i][2], z=z[i].copy())
+                        iteration=n + j, perturbation=eta[i].copy(), cost=lasts[i], z=z[i].copy())
                 keep = np.flatnonzero(ok).tolist()
-                lanes, systems, draws, sums = (
-                    [x[i] for i in keep] for x in (lanes, systems, draws, sums))
+                lanes, systems, rngs, qs = ([x[i] for i in keep] for x in (lanes, systems, rngs, qs))
                 if records is not None:
-                    records = [records[i] for i in keep]
+                    records, means = [records[i] for i in keep], [means[i] for i in keep]
                 steps = [system.step for system in systems]
                 theta, z, z_start, beta, coef = theta[ok], z[ok], z_start[ok], beta[ok], coef[ok]
                 etas, gains, shifts = etas[:, ok], gains[:, ok], shifts[:, ok]
@@ -230,7 +262,7 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
                 theta = project(theta - step_z, lo, hi)
                 if records is not None:
                     for i, rec in enumerate(records):
-                        rec.append(IterationRecord(n + j + 1, theta[i], z[i], sums[i][1] / ell))
+                        rec.append(IterationRecord(n + j + 1, theta[i], z[i], means[i]))
         n += len(etas)
     for i, lane in enumerate(lanes):
         out[lane] = RunTrace(records=tuple(records[i]) if records is not None else (),

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -41,9 +40,6 @@ BALL = "ball"
 # draws are rejected and redrawn: the estimator weight 1/(1 - |z|^2/R^2-ish)
 # would overflow on the boundary shell.
 BOUNDARY_MARGIN = 1e-12
-
-# Blocks per chunk of sample_vectors.
-_CHUNK = 64
 
 # Values (qgauss) or rows (sfgrad) per block of full-size array work, 512 KB
 # of doubles. Fixed: the estimator's Kahan blocks, and so its bits, depend on it.
@@ -184,45 +180,50 @@ def sample_vector(rng: RngStream, q: float, dim: int) -> np.ndarray:
     return sample_batch(rng, q, int(dim))
 
 
-def sample_vectors(rng: RngStream, q: float, dim: int) -> Iterator[np.ndarray]:
-    """Endless iterator of (_CHUNK, dim) arrays whose rows, chunk after chunk,
-    equal successive ``sample_vector(rng, q, dim)`` calls, bit for bit.
+def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
+    """Perturbations of ``blocks`` blocks for K lanes, shaped (blocks, K, dim):
+    entry [:, k] equals ``blocks`` successive ``sample_vector(rngs[k], qs[k],
+    dim)`` calls, bit for bit.
 
-    The raw uniforms of the blocks still to fill are taken in one draw, shaped
-    (blocks, 2, dim) as the per-block calls read them (dim values of u1, then
-    dim of u2), and transformed by the same ufuncs at once. The first block
-    with an exact-zero uniform, or (q < 1) a draw within BOUNDARY_MARGIN of
-    the support radius, stops the copy: its raw values and all after them go
-    back on the stream, and that block is drawn by :func:`sample_vector`
-    itself, which skips the zero or redraws. A chunk reads exactly its own
-    blocks from the stream, no more.
+    Each lane's raw uniforms for all its blocks come from its own stream in
+    one draw, laid out (blocks, 2, dim) as the per-block calls read them
+    (dim values of u1, then dim of u2). The lanes are stacked into one
+    (K, blocks, 2, dim) array; each distinct q copies the u1 and u2 of its
+    lanes into contiguous arrays and transforms them by the same ufuncs with
+    the same scalar q' (elementwise, so the layout does not move a bit).
+    A lane whose draw holds an exact-zero
+    uniform, or (q < 1) a value within BOUNDARY_MARGIN of the support
+    radius, keeps its blocks before the first such block; the raw values
+    from there on go back on its stream, that block is drawn by
+    :func:`sample_vector` itself, which skips the zero or redraws, and the
+    rest of the lane's blocks are read again as a one-lane call. Each lane
+    reads exactly its own blocks from its stream, no more.
     """
-    if not q < 3.0:
-        raise ValueError(f"sampling requires q < 3 (got q={q})")
-    while True:
-        yield _vector_chunk(rng, q, int(dim))
-
-
-def _vector_chunk(rng: RngStream, q: float, dim: int) -> np.ndarray:
-    """The next chunk of :func:`sample_vectors`."""
-    q_prime = (1.0 + q) / (3.0 - q)
-    radius = cutoff_radius(q) if q < 1.0 else None
-    out = np.empty((_CHUNK, dim))
-    i = 0
-    while i < _CHUNK:
-        raw = rng.raw((_CHUNK - i) * 2 * dim).reshape(-1, 2, dim)
+    raw = np.array([rng.raw(blocks * 2 * dim) for rng in rngs]).reshape(-1, blocks, 2, dim)
+    out = np.empty((blocks, len(rngs), dim))
+    # (K, blocks); the whole-array test first, as a per-block one costs more
+    bad = np.zeros((len(rngs), blocks), dtype=bool) if raw.all() else ~raw.all(axis=(2, 3))
+    groups = {}
+    for k, q in enumerate(qs):
+        groups.setdefault(q, []).append(k)
+    for q, ks in groups.items():
+        if not q < 3.0:
+            raise ValueError(f"sampling requires q < 3 (got q={q})")
+        u = raw[ks].transpose(2, 1, 0, 3).copy()  # u1 and u2, each (blocks, lanes, dim)
         with np.errstate(divide="ignore", invalid="ignore"):  # an exact zero in u1
-            z = _box_muller_transform(raw[:, 0], raw[:, 1], q_prime)
-        bad = ~raw.all(axis=(1, 2))
-        if radius is not None:
-            bad |= (radius - np.abs(z) < BOUNDARY_MARGIN).any(axis=1)
-        k = int(bad.argmax()) if bad.any() else len(z)
-        out[i : i + k] = z[:k]
-        i += k
-        if i < _CHUNK:
-            rng.unread(raw[k:].ravel())
-            out[i] = sample_vector(rng, q, dim)
-            i += 1
+            z = _box_muller_transform(u[0], u[1], (1.0 + q) / (3.0 - q))
+        out[:, ks] = z
+        if q < 1.0:
+            near = cutoff_radius(q) - np.abs(z) < BOUNDARY_MARGIN
+            if near.any():
+                bad[ks] |= near.any(axis=2).T
+    if bad.any():
+        for k in np.flatnonzero(bad.any(axis=1)).tolist():
+            j = int(bad[k].argmax())
+            rngs[k].unread(raw[k, j:].ravel())
+            out[j, k] = sample_vector(rngs[k], qs[k], dim)
+            if j + 1 < blocks:
+                out[j + 1 :, k] = sample_lanes([rngs[k]], [qs[k]], dim, blocks - j - 1)[:, 0]
     return out
 
 

@@ -95,13 +95,14 @@ class QueueState:
 
 
 def _service_scales(gaps: np.ndarray, r: float) -> list:
-    """(1 + |gap|^2) / R for each row of ``gaps``.
+    """(1 + |gap|^2) / R for each row of ``gaps``, as Python floats.
 
     ``np.vecdot`` gives every row the bits of that row's own ``gap @ gap``
     (tests/test_optimizer.py gates this); a Python sum of squares, or a
-    rowwise einsum, rounds differently.
+    rowwise einsum, rounds differently. The add and the divide are IEEE
+    operations, so on the array they round as on each row's float.
     """
-    return [(1.0 + d) / r for d in np.vecdot(gaps, gaps).tolist()]
+    return ((1.0 + np.vecdot(gaps, gaps)) / r).tolist()
 
 
 def service_time(u: float, theta_i: np.ndarray, theta_bar_i: np.ndarray, R_i: float) -> float:

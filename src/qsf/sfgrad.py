@@ -141,7 +141,10 @@ def estimate_gradient(
         terms = zs[s : s + ARRAY_BLOCK]  # a view: zs becomes the terms block by block
         weights = 1.0 / (1.0 - k * np.einsum("ij,ij->i", terms, terms))
         terms *= (fv[s : s + ARRAY_BLOCK] * weights / cfg.beta)[:, None]
-        y = terms.sum(axis=0) - comp  # pairwise within the block, compensated across blocks
+        # Summing a C-contiguous block over axis 0 adds it row after row into
+        # each column, the bits of a Python row loop, not a pairwise sum;
+        # Kahan compensation runs across the blocks.
+        y = terms.sum(axis=0) - comp
         t = total + y
         comp = (t - total) - y
         total = t

@@ -195,12 +195,17 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 
 
 def test_lane_batches_do_not_change_bytes(tmp_path):
-    # 38 cells: a full batch of LANE_BATCH lanes, then a short one that
-    # spans both q values; against the same cells run one at a time
-    cfg = tiny_config(q_values=(0.9, 1.5), trials=19,
+    # Three q values of `trials` cells each, 1.5 LANE_BATCH + 3 cells in all:
+    # a full batch of LANE_BATCH lanes (the first q and part of the second),
+    # then a short one that spans the second and the third q; against the
+    # same cells run one at a time
+    trials = LANE_BATCH // 2 + 1
+    qs = (0.9, 1.5, 0.5)
+    assert trials <= LANE_BATCH < 2 * trials and len(qs) * trials < 2 * LANE_BATCH
+    cfg = tiny_config(q_values=qs, trials=trials,
                       optimizer=OptimizerSettings(num_iterations=12, samples_per_iteration=2))
-    assert LANE_BATCH < 38 < 2 * LANE_BATCH
-    single = SweepResult(cfg, [run_single_trial(cfg, qi, 0, t) for qi in range(2) for t in range(19)])
+    single = SweepResult(cfg, [run_single_trial(cfg, qi, 0, t)
+                               for qi in range(len(qs)) for t in range(trials)])
     write_sweep_csv(single, tmp_path / "single.csv")
     want = (tmp_path / "single.csv").read_bytes()
     for workers in (1, 2):

@@ -510,3 +510,18 @@ def test_a_diverging_lane_is_dropped_and_the_others_keep_their_bits():
         assert outcome(replay(lane)) == alone
         assert alone[0] == ("diverged" if i == 1 else "ran")
     assert lanes[1].iteration == 200 // cfgs[1].samples_per_iteration
+
+
+@pytest.mark.parametrize("field,value", [
+    ("num_iterations", 500), ("samples_per_iteration", 4), ("box_min", np.full(4, -1.0)),
+    ("box_max", np.full(4, 6.0)), ("theta0", np.ones(4)), ("use_block_start_z", True),
+    ("z_guard", 1e6),
+])
+def test_lanes_must_share_the_loop_settings(field, value):
+    # the loop takes M, L, the box, theta0, the flag and the guard from lane 0;
+    # a lane that asks for others is refused, not run on lane 0's
+    cfgs = [network_cfg(1.5, 80, False), network_cfg(0.5, 81, False)]
+    cfgs[1] = replace(cfgs[1], **{field: value})
+    with pytest.raises(ValueError, match=f"lane 1 has another {field} than lane 0"):
+        run_lanes([fresh_network(0), fresh_network(1)], cfgs)
+

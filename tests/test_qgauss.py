@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -31,8 +30,8 @@ from qsf.qgauss import (
     sample_batch,
     sample_matrix,
     sample_scalar,
+    sample_lanes,
     sample_vector,
-    sample_vectors,
     support,
 )
 from qsf.harness import PAPER_Q_GRID
@@ -416,27 +415,46 @@ def test_sample_vector_gaussian_components_normal():
         assert stats.kstest(m[:, j], stats.norm.cdf).pvalue > 0.01
 
 
-def assert_rows_match_sample_vector(make_stream, q, dim, blocks):
-    """The first ``blocks`` rows of sample_vectors' chunks equal as many
-    successive sample_vector calls on an identical stream, bit for bit."""
-    rows = itertools.chain.from_iterable(sample_vectors(make_stream(), q, dim))
-    single = make_stream()
-    for n in range(blocks):
-        got, want = next(rows), sample_vector(single, q, dim)
-        assert got.shape == (dim,)
-        assert got.tobytes() == want.tobytes(), (q, dim, n)
+def sample_vector_blocks(rng, q, dim, blocks):
+    """``blocks`` successive sample_vector calls, stacked."""
+    return np.array([sample_vector(rng, q, dim) for _ in range(blocks)])
+
+
+def assert_lanes_match_sample_vector(make_streams, qs, dim, chunks):
+    """sample_lanes over chunks of the given block counts equals, lane by
+    lane, as many successive sample_vector calls on identical streams, bit
+    for bit, and leaves each stream where those calls leave it."""
+    lanes, single = make_streams(), make_streams()
+    for blocks in chunks:
+        got = sample_lanes(lanes, qs, dim, blocks)
+        assert got.shape == (blocks, len(qs), dim)
+        for k, q in enumerate(qs):
+            want = sample_vector_blocks(single[k], q, dim, blocks)
+            assert got[:, k].tobytes() == want.tobytes(), (q, dim, k)
+    for a, b in zip(lanes, single):  # each lane read exactly its own blocks
+        assert a.raw(8).tobytes() == b.raw(8).tobytes()
+
+
+def one_lane(make_stream, q, dim, blocks):
+    """The one-lane case, in chunks of 64 blocks as the lane loop reads them."""
+    chunks = [64] * (blocks // 64) + ([blocks % 64] if blocks % 64 else [])
+    assert_lanes_match_sample_vector(lambda: [make_stream()], [q], dim, chunks)
+
+
+# The one-lane case of sample_lanes. The test names keep the name of the
+# per-lane chunk iterator, sample_vectors, that sample_lanes replaced.
 
 
 @pytest.mark.parametrize("dim", [1, 4])
 @pytest.mark.parametrize("q", PAPER_Q_GRID)
 def test_sample_vectors_equal_successive_sample_vector_calls(q, dim):
     # 300 blocks span four chunks of 64 and part of a fifth
-    assert_rows_match_sample_vector(lambda: RngStream(61, 7), q, dim, 300)
+    one_lane(lambda: RngStream(61, 7), q, dim, 300)
 
 
 def test_sample_vectors_past_the_chunk_cap():
     # 3200 blocks: fifty chunks of 64
-    assert_rows_match_sample_vector(lambda: RngStream(62), 0.5, 4, 3200)
+    one_lane(lambda: RngStream(62), 0.5, 4, 3200)
 
 
 def scripted_head(values, seed=63):
@@ -455,27 +473,93 @@ def raw_blocks(blocks, dim, seed=64):
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
 def test_sample_vectors_exact_zero_mid_chunk(q, dim, where):
     # an exact zero in u1 (index 0) or u2 (index 1) of one block: that block
-    # takes the skip-the-zero path of sample_vector, and the chunk restarts after it
+    # takes the skip-the-zero path of sample_vector, and the rest of the
+    # chunk is read again after it
     raw = raw_blocks(40, dim)
     raw[where] = 0.0
     head = raw.ravel()
-    assert_rows_match_sample_vector(lambda: scripted_head(head), q, dim, 60)
+    one_lane(lambda: scripted_head(head), q, dim, 60)
+
+
+def boundary_head(q, dim, k, seed=64):
+    """Uniforms for 40 blocks whose block k has |z| on the q < 1 support
+    radius in its last component: u1 = 1e-300, u2 = 0.5."""
+    raw = raw_blocks(40, dim, seed)
+    raw[k, 0, dim - 1], raw[k, 1, dim - 1] = 1e-300, 0.5
+    z_edge = qgauss._box_muller_transform(raw[k, 0], raw[k, 1], (1.0 + q) / (3.0 - q))
+    assert cutoff_radius(q) - abs(z_edge[-1]) < qgauss.BOUNDARY_MARGIN
+    return raw.ravel(), z_edge[-1]
 
 
 @pytest.mark.parametrize("dim", [1, 4])
 def test_sample_vectors_boundary_redraw_mid_chunk(dim):
-    # u1 = 1e-300, u2 = 0.5 at q = 0.5 give |z| = sqrt(5), the support radius
-    q, k, j = 0.5, 6, dim - 1
-    raw = raw_blocks(40, dim)
-    raw[k, 0, j], raw[k, 1, j] = 1e-300, 0.5
-    radius = cutoff_radius(q)
-    z_edge = qgauss._box_muller_transform(raw[k, 0], raw[k, 1], (1.0 + q) / (3.0 - q))
-    assert radius - abs(z_edge[j]) < qgauss.BOUNDARY_MARGIN
-    head = raw.ravel()
-    assert_rows_match_sample_vector(lambda: scripted_head(head), q, dim, 60)
-    got = next(sample_vectors(scripted_head(head), q, dim))
-    assert np.all(np.abs(got[k]) < radius - qgauss.BOUNDARY_MARGIN)
-    assert got[k][j] != z_edge[j]  # redrawn
+    # at q = 0.5 the radius is sqrt(5)
+    q, k = 0.5, 6
+    head, z_edge = boundary_head(q, dim, k)
+    one_lane(lambda: scripted_head(head), q, dim, 60)
+    got = sample_lanes([scripted_head(head)], [q], dim, 64)[:, 0]
+    assert np.all(np.abs(got[k]) < cutoff_radius(q) - qgauss.BOUNDARY_MARGIN)
+    assert got[k][-1] != z_edge  # redrawn
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_sample_lanes_paper_grid_in_one_batch(dim):
+    # all 15 paper q values as lanes of one batch, twice over, so the two
+    # lanes of each q sit 15 lanes apart; then each q as one lane
+    qs = list(PAPER_Q_GRID) * 2
+    assert_lanes_match_sample_vector(
+        lambda: [RngStream(67, k) for k in range(len(qs))], qs, dim, (64, 64, 7))
+    qs = list(PAPER_Q_GRID)
+    assert_lanes_match_sample_vector(
+        lambda: [RngStream(68, k) for k in range(len(qs))], qs, dim, (64, 9))
+
+
+def test_sample_lanes_zero_and_boundary_lanes_mid_chunk(monkeypatch):
+    # lane 1 has an exact zero in block 5 and lane 3 a support-boundary draw
+    # in block 9; only those two lanes fall back to sample_vector, once each,
+    # and every lane keeps its bits
+    q, dim = 0.5, 4
+    zero = raw_blocks(40, dim, seed=68)
+    zero[5, 1, 3] = 0.0
+    edge, _ = boundary_head(q, dim, 9, seed=69)
+    qs = [q, q, 1.5, q, 2.5]
+
+    def streams():
+        return [RngStream(70), scripted_head(zero.ravel()), RngStream(71),
+                scripted_head(edge, seed=72), RngStream(73)]
+
+    calls = []
+    draw = qgauss.sample_vector
+
+    def counted(rng, q, dim):
+        calls.append(rng)
+        return draw(rng, q, dim)
+
+    lanes = streams()
+    monkeypatch.setattr(qgauss, "sample_vector", counted)
+    sample_lanes(lanes, qs, dim, 64)
+    assert calls == [lanes[1], lanes[3]]
+    monkeypatch.setattr(qgauss, "sample_vector", draw)
+    assert_lanes_match_sample_vector(streams, qs, dim, (64, 30))
+
+
+def test_sample_lanes_after_a_dropped_lane():
+    # the lane loop drops a diverged lane: the next chunk reads only the
+    # others, which go on as their own per-block calls would, and the dropped
+    # lane's stream is left where its first chunk left it
+    qs, dim = [0.5, 1.0, 1.5, 2.5], 4
+    lanes = [RngStream(74, k) for k in range(4)]
+    single = [RngStream(74, k) for k in range(4)]
+    first = sample_lanes(lanes, qs, dim, 64)
+    kept = [0, 2, 3]
+    second = sample_lanes([lanes[k] for k in kept], [qs[k] for k in kept], dim, 64)
+    for k, q in enumerate(qs):
+        want = sample_vector_blocks(single[k], q, dim, 64)
+        assert first[:, k].tobytes() == want.tobytes()
+        if k in kept:
+            want = sample_vector_blocks(single[k], q, dim, 64)
+            assert second[:, kept.index(k)].tobytes() == want.tobytes()
+        assert lanes[k].raw(8).tobytes() == single[k].raw(8).tobytes()
 
 
 def test_quadrature_cdf_matches_student_t():

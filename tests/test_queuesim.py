@@ -238,6 +238,23 @@ def test_set_parameter_scales_are_bit_exact(n1, n2):
         net.set_parameter(np.ones((1, 4)))
 
 
+@pytest.mark.parametrize("n1,n2", [(1, 3), (2, 2), (3, 1)])
+def test_set_parameters_batch_scales_equal_per_row_form(n1, n2):
+    # the batch install takes (1 + |gap|^2) / R on arrays; every network must
+    # get the bits of its own row's (1 + gap @ gap) / R in Python floats
+    cfg = QueueNetworkConfig(N1=n1, N2=n2, R1=7.0, R2=3.0,
+                             theta_target=np.array([1.0, 0.3, 2.5, 4.0]))
+    nets = [QueueNetwork(cfg, RngStream(20, k)) for k in range(250)]
+    draws = np.random.default_rng(20).uniform(-3.0, 8.0, (8, len(nets), 4))
+    for thetas in draws:
+        QueueNetwork.set_parameters(nets, thetas)
+        for net, theta in zip(nets, thetas):
+            assert (net._scale1, net._scale2) == scales_by_the_old_expression(cfg, theta)
+            assert type(net._scale1) is float and np.array_equal(net._theta, theta)
+    with pytest.raises(ValueError):
+        QueueNetwork.set_parameters(nets, draws[0][:-1])
+
+
 def test_set_parameter_keeps_its_own_copy():
     net = make_net(seed=19)
     theta = np.array([2.0, 3.0, 1.0, 0.5])
