@@ -191,13 +191,14 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     (K, blocks, 2, dim) array; each distinct q copies the u1 and u2 of its
     lanes into contiguous arrays and transforms them by the same ufuncs with
     the same scalar q' (elementwise, so the layout does not move a bit).
-    A lane whose draw holds an exact-zero
-    uniform, or (q < 1) a value within BOUNDARY_MARGIN of the support
-    radius, keeps its blocks before the first such block; the raw values
-    from there on go back on its stream, that block is drawn by
-    :func:`sample_vector` itself, which skips the zero or redraws, and the
-    rest of the lane's blocks are read again as a one-lane call. Each lane
-    reads exactly its own blocks from its stream, no more.
+
+    A lane whose draw holds an exact-zero uniform, or (q < 1) a value
+    within BOUNDARY_MARGIN of the support radius, keeps its blocks before
+    the first such block; the raw values from there on go back on its
+    stream, that block is drawn by :func:`sample_vector` itself, which skips
+    the zero or redraws, and the rest of the lane's blocks are read again as
+    a one-lane call. Each lane reads exactly its own blocks from its stream,
+    no more.
     """
     raw = np.array([rng.raw(blocks * 2 * dim) for rng in rngs]).reshape(-1, blocks, 2, dim)
     out = np.empty((blocks, len(rngs), dim))

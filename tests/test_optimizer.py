@@ -524,4 +524,3 @@ def test_lanes_must_share_the_loop_settings(field, value):
     cfgs[1] = replace(cfgs[1], **{field: value})
     with pytest.raises(ValueError, match=f"lane 1 has another {field} than lane 0"):
         run_lanes([fresh_network(0), fresh_network(1)], cfgs)
-
