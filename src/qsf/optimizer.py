@@ -194,7 +194,7 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
     rngs = [c.seed.child("perturbation") for c in cfgs]
     ell, guard, lo, hi = cfg.samples_per_iteration, cfg.z_guard, cfg.box_min, cfg.box_max
     block_start_z = cfg.use_block_start_z
-    records = means = None
+    records = None
     if keep_records and slow:
         records = [[IterationRecord(0, start, z[0], math.nan)] for _ in systems]
     install = getattr(type(systems[0]), "set_parameters", _set_each)
@@ -218,26 +218,16 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
             # needs the geometrically weighted cost sum s = sum alpha^(L-1-m) h_m:
             # Z after the block is alpha^L Z + b w/beta * s * eta. The last
             # cost h goes into a DivergenceError, the block mean into records.
-            sums, lasts = [], []
-            if records is None:
-                for step in steps:
-                    s = 0.0
-                    for _ in range(ell):
-                        h = step()
-                        s = alpha * s + h
-                    sums.append(s)
-                    lasts.append(h)
-            else:
-                means = []
-                for step in steps:
-                    s = cost_sum = 0.0
-                    for _ in range(ell):
-                        h = step()
-                        cost_sum += h
-                        s = alpha * s + h
-                    sums.append(s)
-                    lasts.append(h)
-                    means.append(cost_sum / ell)
+            sums, lasts, means = [], [], []
+            for step in steps:
+                s = cost_sum = 0.0
+                for _ in range(ell):
+                    h = step()
+                    cost_sum += h
+                    s = alpha * s + h
+                sums.append(s)
+                lasts.append(h)
+                means.append(cost_sum / ell)
             z_start = z
             # np.multiply(x, c) rounds as c * x does, and costs less with a
             # Python float c
@@ -249,9 +239,10 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
                     out[lanes[i]] = DivergenceError(
                         iteration=n + j, perturbation=eta[i].copy(), cost=lasts[i], z=z[i].copy())
                 keep = np.flatnonzero(ok).tolist()
-                lanes, systems, rngs, qs = ([x[i] for i in keep] for x in (lanes, systems, rngs, qs))
+                lanes, systems, rngs, qs, means = (
+                    [x[i] for i in keep] for x in (lanes, systems, rngs, qs, means))
                 if records is not None:
-                    records, means = [records[i] for i in keep], [means[i] for i in keep]
+                    records = [records[i] for i in keep]
                 steps = [system.step for system in systems]
                 theta, z, z_start, beta, coef = theta[ok], z[ok], z_start[ok], beta[ok], coef[ok]
                 etas, gains, shifts = etas[:, ok], gains[:, ok], shifts[:, ok]

@@ -200,16 +200,17 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     a one-lane call. Each lane reads exactly its own blocks from its stream,
     no more.
     """
+    groups = {}
+    for k, q in enumerate(qs):
+        groups.setdefault(q, []).append(k)
+    for q in groups:  # before any draw, so a refused call leaves the streams as they were
+        if not q < 3.0:
+            raise ValueError(f"sampling requires q < 3 (got q={q})")
     raw = np.array([rng.raw(blocks * 2 * dim) for rng in rngs]).reshape(-1, blocks, 2, dim)
     out = np.empty((blocks, len(rngs), dim))
     # (K, blocks); the whole-array test first, as a per-block one costs more
     bad = np.zeros((len(rngs), blocks), dtype=bool) if raw.all() else ~raw.all(axis=(2, 3))
-    groups = {}
-    for k, q in enumerate(qs):
-        groups.setdefault(q, []).append(k)
     for q, ks in groups.items():
-        if not q < 3.0:
-            raise ValueError(f"sampling requires q < 3 (got q={q})")
         u = raw[ks].transpose(2, 1, 0, 3).copy()  # u1 and u2, each (blocks, lanes, dim)
         with np.errstate(divide="ignore", invalid="ignore"):  # an exact zero in u1
             z = _box_muller_transform(u[0], u[1], (1.0 + q) / (3.0 - q))

@@ -562,6 +562,15 @@ def test_sample_lanes_after_a_dropped_lane():
         assert lanes[k].raw(8).tobytes() == single[k].raw(8).tobytes()
 
 
+def test_sample_lanes_refusal_leaves_the_streams_unread():
+    # a lane with q >= 3 is refused before any lane's stream is read
+    lanes = [RngStream(75, k) for k in range(3)]
+    with pytest.raises(ValueError):
+        sample_lanes(lanes, [0.5, 3.0, 1.5], 4, 64)
+    for k, lane in enumerate(lanes):
+        assert lane.raw(8).tobytes() == RngStream(75, k).raw(8).tobytes()
+
+
 def test_quadrature_cdf_matches_student_t():
     # the q > 1 family coincides with a unit-scale Student-t with
     # nu = (3-q)/(q-1) degrees of freedom; q=1.5 gives nu=3
