@@ -24,13 +24,14 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .optimizer import RunTrace, TwoTimescaleConfig, run_lanes, run_qsf
+from .optimizer import OptimizerSettings, RunTrace, TwoTimescaleConfig, run_lanes, run_qsf
 from .queuesim import QueueNetwork, QueueNetworkConfig
 from .rng import RngStream
 
@@ -44,26 +45,6 @@ PAPER_BETA_GRID = (0.0005, 0.005, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5)
 # median events/s and peak RSS: 32 lanes 2.11e5 and 39.1 MB, 64 lanes
 # 2.10e5 and 40.0 MB, 128 lanes 2.18e5 and 41.6 MB.
 LANE_BATCH = 32
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Sweep-invariant optimizer fragment (kernel q, beta vary per cell)."""
-
-    num_iterations: int = 10000
-    samples_per_iteration: int = 100
-    box_min: np.ndarray = field(default=None)  # type: ignore[assignment]
-    box_max: np.ndarray = field(default=None)  # type: ignore[assignment]
-    theta0: np.ndarray = field(default=None)  # type: ignore[assignment]
-    use_block_start_z: bool = False
-
-    def __post_init__(self):
-        box_min = np.zeros(4) if self.box_min is None else np.asarray(self.box_min, float)
-        box_max = np.full(4, 5.0) if self.box_max is None else np.asarray(self.box_max, float)
-        theta0 = np.full(4, 5.0) if self.theta0 is None else np.asarray(self.theta0, float)
-        object.__setattr__(self, "box_min", box_min)
-        object.__setattr__(self, "box_max", box_max)
-        object.__setattr__(self, "theta0", theta0)
 
 
 @dataclass(frozen=True)
@@ -83,19 +64,16 @@ class ExperimentConfig:
             raise ConfigError("q_values must all be < 3")
         if not all(b > 0.0 for b in self.beta_values):
             raise ConfigError("beta_values must all be > 0")
+        for name in ("q_values", "beta_values"):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):  # 0.0 == -0.0 counts as a repeat
+                raise ConfigError(f"{name} must hold at least one value and none twice")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         dim = self.network.dim
-        opt = self.optimizer
-        for name in ("box_min", "box_max", "theta0"):
-            if getattr(opt, name).shape != (dim,):
-                raise ConfigError(f"optimizer.{name} must have length N1+N2 = {dim}")
-        if opt.num_iterations < 1 or opt.samples_per_iteration < 1:
-            raise ConfigError("optimizer.M and optimizer.L must be >= 1")
-        if not np.all(opt.box_min < opt.box_max):
-            raise ConfigError("optimizer.box_min must lie below optimizer.box_max componentwise")
-        if np.any(opt.theta0 < opt.box_min) or np.any(opt.theta0 > opt.box_max):
-            raise ConfigError("optimizer.theta0 must lie inside the box")
+        if self.optimizer.theta0.shape != (dim,):
+            raise ConfigError(f"optimizer.box_min, optimizer.box_max and optimizer.theta0 "
+                              f"must have length N1+N2 = {dim}")
 
 
 @dataclass(frozen=True, slots=True)  # a full grid holds thousands; keep each small
@@ -196,32 +174,19 @@ def _initial_distance(cfg: ExperimentConfig) -> float:
     return float(np.linalg.norm(cfg.optimizer.theta0 - cfg.network.theta_target))
 
 
-def _build_trial(
-    cfg: ExperimentConfig, cell: RngStream, q_index: int, beta_index: int
-) -> tuple[QueueNetwork, TwoTimescaleConfig]:
-    """The fresh network and optimizer config of the (q, beta) cell whose
-    trial stream is ``cell``."""
-    opt = cfg.optimizer
-    run_cfg = TwoTimescaleConfig(
-        num_iterations=opt.num_iterations,
-        samples_per_iteration=opt.samples_per_iteration,
-        q=cfg.q_values[q_index],
-        beta=cfg.beta_values[beta_index],
-        box_min=opt.box_min,
-        box_max=opt.box_max,
-        theta0=opt.theta0,
-        seed=cell.child("optimizer"),
-        use_block_start_z=opt.use_block_start_z,
-    )
-    return QueueNetwork(cfg.network, cell.child("network")), run_cfg
+def _build_trial(cfg: ExperimentConfig, cell: RngStream, q_index: int, beta_index: int) -> tuple:
+    """The fresh network and the (q, beta, seed) lane of the (q, beta) cell
+    whose trial stream is ``cell``."""
+    lane = (cfg.q_values[q_index], cfg.beta_values[beta_index], cell.child("optimizer"))
+    return QueueNetwork(cfg.network, cell.child("network")), lane
 
 
 def _run_batch(cfg: ExperimentConfig, tasks: list) -> list:
     """The TrialRecords of ``tasks``, (q_index, beta_index, trial, cell
     stream) tuples, run as the lanes of one run_lanes call."""
-    built = [_build_trial(cfg, cell, qi, bi) for qi, bi, _, cell in tasks]
+    networks, lanes = zip(*(_build_trial(cfg, cell, qi, bi) for qi, bi, _, cell in tasks))
     start = time.perf_counter()
-    traces = run_lanes([network for network, _ in built], [run_cfg for _, run_cfg in built])
+    traces = run_lanes(networks, cfg.optimizer, lanes)
     share = (time.perf_counter() - start) / len(tasks)
     opt, target, initial = cfg.optimizer, cfg.network.theta_target, _initial_distance(cfg)
     records = []
@@ -263,14 +228,17 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1) -> SweepResult:
 
 
 def trace_run(cfg: ExperimentConfig, q: float, beta: float, trial: int) -> RunTrace:
-    """Re-run a single cell (identified by values, not indices) with its trace."""
+    """Re-run a single cell (identified by values, not indices) with its
+    trace; q, beta and the trial must be those of a cell of the sweep."""
     try:
         qi = cfg.q_values.index(float(q))
         bi = cfg.beta_values.index(float(beta))
     except ValueError as exc:
         raise ConfigError(f"(q={q}, beta={beta}) is not on the sweep grid") from exc
-    network, run_cfg = _build_trial(cfg, derive_cell_stream(cfg.base_seed, qi, bi, trial), qi, bi)
-    return run_qsf(network, run_cfg)
+    if trial not in range(cfg.trials):
+        raise ConfigError(f"trial {trial} is not one of the sweep's trials 0..{cfg.trials - 1}")
+    network, (q, beta, seed) = _build_trial(cfg, derive_cell_stream(cfg.base_seed, qi, bi, trial), qi, bi)
+    return run_qsf(network, TwoTimescaleConfig(**vars(cfg.optimizer), q=q, beta=beta, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +380,50 @@ def _text(key: str, value):
         raise ConfigError(f"{key} must be a string, got {value!r}")
 
 
-# Each accepted key with the check of its JSON value; the key names are part
-# of the interface.
-_OPTIMIZER_KEYS = {"M": _integer, "L": _integer, "box_min": _numbers, "box_max": _numbers,
-                   "theta0": _numbers, "use_block_start_z": _flag}
-_NETWORK_KEYS = {"lambda1": _number, "lambda2": _number, "p_exit": _number, "R1": _number,
-                 "R2": _number, "N1": _integer, "N2": _integer, "theta_target": _numbers,
-                 "count_in_service": _flag}
-_TOP_KEYS = {"q_values": _numbers, "beta_values": _numbers, "trials": _integer,
-             "optimizer": None, "network": None, "base_seed": _integer, "output_dir": _text}
+# Per JSON section, each accepted key with its dataclass field and the check
+# of its JSON value, or the table of its keys when the value is a section;
+# the key names are part of the interface. A key that is absent takes the
+# field's default.
+_OPTIMIZER_KEYS = {"M": ("num_iterations", _integer), "L": ("samples_per_iteration", _integer),
+                   "box_min": ("box_min", _numbers), "box_max": ("box_max", _numbers),
+                   "theta0": ("theta0", _numbers), "use_block_start_z": ("use_block_start_z", _flag)}
+_NETWORK_KEYS = {key: (key, check) for key, check in (
+    ("lambda1", _number), ("lambda2", _number), ("p_exit", _number), ("R1", _number),
+    ("R2", _number), ("N1", _integer), ("N2", _integer), ("theta_target", _numbers),
+    ("count_in_service", _flag))}
+_TOP_KEYS = {"q_values": ("q_values", _numbers), "beta_values": ("beta_values", _numbers),
+             "trials": ("trials", _integer), "optimizer": ("optimizer", _OPTIMIZER_KEYS),
+             "network": ("network", _NETWORK_KEYS), "base_seed": ("base_seed", _integer),
+             "output_dir": ("output_dir", _text)}
+
+
+def _fields(prefix: str, raw: dict, keys: dict) -> dict:
+    """The dataclass fields that a JSON object sets, each value checked; a
+    section's value is the dict of its own fields."""
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(prefix + k for k in unknown)}")
+    fields = {}
+    for key, value in raw.items():
+        name, check = keys[key]
+        if isinstance(check, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{prefix}{key} must be an object")
+            value = _fields(f"{prefix}{key}.", value, check)
+        else:
+            check(prefix + key, value)
+        fields[name] = value
+    return fields
+
+
+def _build(cls, section: str, fields: dict):
+    """``cls(**fields)``; its ValueError is a ConfigError that names the
+    JSON key path of each field it names."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        paths = {name: f"{section}.{key}" for key, (name, _) in _TOP_KEYS[section][1].items()}
+        raise ConfigError(re.sub(r"\w+", lambda m: paths.get(m[0], m[0]), str(exc))) from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -436,84 +439,32 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - set(_TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    opt_raw = raw.get("optimizer", {})
-    net_raw = raw.get("network", {})
-    for section, keys, allowed in (("optimizer", opt_raw, _OPTIMIZER_KEYS),
-                                   ("network", net_raw, _NETWORK_KEYS)):
-        if not isinstance(keys, dict):
-            raise ConfigError(f"{path}: {section} must be an object")
-        bad = set(keys) - set(allowed)
-        if bad:
-            raise ConfigError(f"{path}: unknown keys {sorted(section + '.' + k for k in bad)}")
     try:
-        for prefix, keys, checks in (("", raw, _TOP_KEYS), ("optimizer.", opt_raw, _OPTIMIZER_KEYS),
-                                     ("network.", net_raw, _NETWORK_KEYS)):
-            for key, value in keys.items():
-                if checks[key] is not None:
-                    checks[key](prefix + key, value)
-        network = QueueNetworkConfig(
-            lambda1=net_raw.get("lambda1", 0.2),
-            lambda2=net_raw.get("lambda2", 0.1),
-            p_exit=net_raw.get("p_exit", 0.4),
-            R1=net_raw.get("R1", 10.0),
-            R2=net_raw.get("R2", 20.0),
-            N1=net_raw.get("N1", 2),
-            N2=net_raw.get("N2", 2),
-            theta_target=net_raw.get("theta_target"),
-            count_in_service=net_raw.get("count_in_service", True),
-        )
+        fields = _fields("", raw, _TOP_KEYS)
+        network = _build(QueueNetworkConfig, "network", fields.pop("network", {}))
+        # the box and theta0 default to the network's dimension
         dim = network.dim
-        optimizer = OptimizerSettings(
-            num_iterations=opt_raw.get("M", 10000),
-            samples_per_iteration=opt_raw.get("L", 100),
-            box_min=opt_raw.get("box_min", [0.0] * dim),
-            box_max=opt_raw.get("box_max", [5.0] * dim),
-            theta0=opt_raw.get("theta0", [5.0] * dim),
-            use_block_start_z=opt_raw.get("use_block_start_z", False),
-        )
-        return ExperimentConfig(
-            q_values=tuple(raw.get("q_values", PAPER_Q_GRID)),
-            beta_values=tuple(raw.get("beta_values", PAPER_BETA_GRID)),
-            trials=raw.get("trials", 20),
-            optimizer=optimizer,
-            network=network,
-            base_seed=raw.get("base_seed", 20240101),
-            output_dir=raw.get("output_dir", "results"),
-        )
-    except (ValueError, ConfigError) as exc:
+        sized = {"box_min": [0.0] * dim, "box_max": [5.0] * dim, "theta0": [5.0] * dim}
+        optimizer = _build(OptimizerSettings, "optimizer", sized | fields.pop("optimizer", {}))
+        return ExperimentConfig(**fields, optimizer=optimizer, network=network)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _payload(obj, keys: dict) -> dict:
+    """The JSON object of a config dataclass, by its key table."""
+    payload = {}
+    for key, (name, check) in keys.items():
+        value = getattr(obj, name)
+        if isinstance(check, dict):
+            value = _payload(value, check)
+        elif isinstance(value, (tuple, np.ndarray)):
+            value = list(map(float, value))
+        payload[key] = value
+    return payload
+
+
 def save_config(cfg: ExperimentConfig, path) -> None:
-    payload = {
-        "q_values": list(cfg.q_values),
-        "beta_values": list(cfg.beta_values),
-        "trials": cfg.trials,
-        "base_seed": cfg.base_seed,
-        "output_dir": cfg.output_dir,
-        "optimizer": {
-            "M": cfg.optimizer.num_iterations,
-            "L": cfg.optimizer.samples_per_iteration,
-            "box_min": list(map(float, cfg.optimizer.box_min)),
-            "box_max": list(map(float, cfg.optimizer.box_max)),
-            "theta0": list(map(float, cfg.optimizer.theta0)),
-            "use_block_start_z": cfg.optimizer.use_block_start_z,
-        },
-        "network": {
-            "lambda1": cfg.network.lambda1,
-            "lambda2": cfg.network.lambda2,
-            "p_exit": cfg.network.p_exit,
-            "R1": cfg.network.R1,
-            "R2": cfg.network.R2,
-            "N1": cfg.network.N1,
-            "N2": cfg.network.N2,
-            "theta_target": list(map(float, cfg.network.theta_target)),
-            "count_in_service": cfg.network.count_in_service,
-        },
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_payload(cfg, _TOP_KEYS), fh, indent=2, sort_keys=True)
         fh.write("\n")

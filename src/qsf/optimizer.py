@@ -11,20 +11,25 @@ with a(n) = 1/(n+1) and b(n) = 1/(n+1)^(2/3), so a(n) = o(b(n)) and both
 schedules are divergent with square-summable tails. The system's state is
 never reset between blocks: the recursion rides a single trajectory.
 
-The recursion is one lane loop, :func:`run_lanes`. K runs that share M, L,
-the box, theta0 and the flags advance block by block together, with theta,
-Z, the perturbations and the perturbed parameters held as (K, dim) arrays,
-so a block's bookkeeping is a fixed number of NumPy calls whatever K is;
-each lane's system still runs its L steps in a scalar loop. The
-perturbations of 64 blocks of all lanes come from one
-:func:`qsf.qgauss.sample_lanes` call. ``run_qsf``, ``run_gaussian_sf`` and
-``fast_timescale_diagnostic`` are one-lane calls, and the sweep runs batches
-of up to ``qsf.harness.LANE_BATCH`` = 32 lanes. A queue-network lane holds
-up to about 25 KB of its own: five lookaheads of up to 4 KB and six
-generators of about 0.8 KB. In dim 4, drawing a chunk peaks at about 10 KB
-a lane more (the stacked raw uniforms, the output and the transform's
-temporaries), and the chunk's perturbations and their shifts keep 4 KB a
-lane through its blocks.
+The loop rules live in :class:`OptimizerSettings`: M and L, the feasible
+box and theta0, which every run of a sweep shares. A run adds only its
+kernel (q, beta) and its seed; :class:`TwoTimescaleConfig` is the settings
+of one run, and checks only q and beta beyond them.
+
+The recursion is one lane loop, :func:`run_lanes`. K runs of one settings
+object and one guard advance block by block together, each with its own
+(q, beta, seed), with theta, Z, the perturbations and the perturbed
+parameters held as (K, dim) arrays, so a block's bookkeeping is a fixed
+number of NumPy calls whatever K is; each lane's system still runs its L
+steps in a scalar loop. The perturbations of 64 blocks of all lanes come
+from one :func:`qsf.qgauss.sample_lanes` call. ``run_qsf``,
+``run_gaussian_sf`` and ``fast_timescale_diagnostic`` are one-lane calls,
+and the sweep runs batches of up to ``qsf.harness.LANE_BATCH`` = 32 lanes.
+A queue-network lane holds up to about 25 KB of its own: five lookaheads of
+up to 4 KB and six generators of about 0.8 KB. In dim 4, drawing a chunk
+peaks at about 10 KB a lane more (the stacked raw uniforms, the output and
+the transform's temporaries), and the chunk's perturbations and their
+shifts keep 4 KB a lane through its blocks.
 
 Every lane gets the bits of its own one-lane run. Elementwise + - * / and
 the min/max clamp round on rows as on a single vector. Dot products are
@@ -39,7 +44,7 @@ product here and in ``QueueNetwork.set_parameters`` is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 import numpy as np
@@ -54,10 +59,6 @@ Z_GUARD_DEFAULT = 1e12
 
 # Blocks of perturbations drawn per sample_lanes call.
 _CHUNK = 64
-
-# The TwoTimescaleConfig fields that all lanes of one run_lanes call share.
-_SHARED_FIELDS = ("num_iterations", "samples_per_iteration", "box_min", "box_max", "theta0",
-                  "use_block_start_z", "z_guard")
 
 
 class BlackBoxSystem(Protocol):
@@ -76,40 +77,55 @@ class BlackBoxSystem(Protocol):
     def step(self) -> float: ...
 
 
-@dataclass(frozen=True)
-class TwoTimescaleConfig:
-    """Loop sizes, kernel parameters, feasible box, start point and seed."""
+@dataclass(frozen=True, kw_only=True)
+class OptimizerSettings:
+    """What every run of a sweep shares: loop sizes, feasible box, start
+    point and the theta-update flag. Its checks are the loop's rules."""
 
-    num_iterations: int  # outer blocks M
-    samples_per_iteration: int  # system steps per block L
-    q: float
-    beta: float
-    box_min: np.ndarray
-    box_max: np.ndarray
-    theta0: np.ndarray
-    seed: RngStream
+    num_iterations: int = 10000  # outer blocks M
+    samples_per_iteration: int = 100  # system steps per block L
+    box_min: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    box_max: np.ndarray = field(default_factory=lambda: np.full(4, 5.0))
+    theta0: np.ndarray = field(default_factory=lambda: np.full(4, 5.0))
     use_block_start_z: bool = False  # use Z from the block start in the theta update
-    z_guard: float = Z_GUARD_DEFAULT
 
     def __post_init__(self):
-        for name in ("box_min", "box_max", "theta0"):
+        vectors = ("box_min", "box_max", "theta0")
+        for name in vectors:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.num_iterations < 1 or self.samples_per_iteration < 1:
             raise ValueError("num_iterations and samples_per_iteration must be >= 1")
-        if not self.q < 3.0:
-            raise ValueError(f"q must be < 3 (got {self.q})")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0 (got {self.beta})")
-        if self.box_min.shape != self.box_max.shape or self.box_min.shape != self.theta0.shape:
-            raise ValueError("box_min, box_max and theta0 must share one shape")
+        shapes = [getattr(self, name).shape for name in vectors]
+        for name, shape in zip(vectors, shapes):
+            if shapes.count(shape) == 1:  # the odd one out (box_min when all three differ)
+                raise ValueError(f"{name} has shape {shape}; the box bounds and the start "
+                                 f"point must share one shape")
         if not np.all(self.box_min < self.box_max):
-            raise ValueError("box_min must be strictly below box_max componentwise")
+            raise ValueError("box_min must lie below box_max componentwise")
         if np.any(self.theta0 < self.box_min) or np.any(self.theta0 > self.box_max):
             raise ValueError("theta0 must lie inside the box")
 
     @property
     def dim(self) -> int:
         return self.theta0.shape[0]
+
+
+@dataclass(frozen=True, kw_only=True)
+class TwoTimescaleConfig(OptimizerSettings):
+    """One run: the shared settings plus its kernel (q, beta), its seed and
+    the tracker guard."""
+
+    q: float
+    beta: float
+    seed: RngStream
+    z_guard: float = Z_GUARD_DEFAULT
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.q < 3.0:
+            raise ValueError(f"q must be < 3 (got {self.q})")
+        if not self.beta > 0.0:
+            raise ValueError(f"beta must be > 0 (got {self.beta})")
 
 
 @dataclass(frozen=True)
@@ -156,53 +172,46 @@ def _set_each(systems, thetas: np.ndarray) -> None:
         system.set_parameter(theta)
 
 
-def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
+def run_lanes(systems: list, settings: OptimizerSettings, lanes: list, *,
+              z_guard: float = Z_GUARD_DEFAULT, keep_records: bool = False,
               frozen_theta: np.ndarray | None = None) -> list:
     """The two-timescale recursion for K lanes in lockstep; with
     ``frozen_theta`` only its fast part.
 
-    Lane k runs ``systems[k]`` with ``cfgs[k]``. The configs may differ in
-    q, beta and seed only: M, L, the box, theta0, the block-start flag and
-    the guard must be the same in all of them (ValueError names the first
-    field that is not). Item k of the result is lane k's
-    RunTrace, or the DivergenceError of a lane whose tracker left the guard
-    band: that lane is dropped at that block and the others run on
-    unchanged. A frozen run holds theta at ``frozen_theta``: it takes no
-    slow step and no projection, and its traces keep no records.
+    Lane k runs ``systems[k]`` with the kernel and seed ``lanes[k]`` =
+    (q, beta, seed); M, L, the box, theta0 and the block-start flag come
+    from ``settings`` and the guard band is ``z_guard``, for every lane
+    alike. Item k of the result is lane k's RunTrace, or the DivergenceError
+    of a lane whose tracker left the guard band: that lane is dropped at
+    that block and the others run on unchanged. A frozen run holds theta at
+    ``frozen_theta``: it takes no slow step and no projection, and its
+    traces keep no records.
 
     Theta, Z and the perturbed parameters are (K, dim) arrays; each
     elementwise operation rounds as its per-lane scalar form does, and every
     row dot product is an ``np.vecdot`` (see the module docstring). Each
     lane's system still runs its L steps in a scalar inner loop.
     """
-    cfg = cfgs[0]
-    for k, c in enumerate(cfgs[1:], 1):
-        for name in _SHARED_FIELDS:
-            mine, first = getattr(c, name), getattr(cfg, name)
-            if mine is not first and not np.array_equal(mine, first):
-                raise ValueError(f"lane {k} has another {name} than lane 0; "
-                                 f"the lanes of one run must share it")
     slow = frozen_theta is None
-    start = np.array(cfg.theta0 if slow else frozen_theta, dtype=float)
+    start = np.array(settings.theta0 if slow else frozen_theta, dtype=float)
     dim = start.shape[0]
     theta = np.tile(start, (len(systems), 1))
     z = np.zeros_like(theta)
-    qs = [c.q for c in cfgs]
-    q = np.array(qs)
-    beta = np.array([c.beta for c in cfgs])
+    qs, betas, seeds = (list(x) for x in zip(*lanes))
+    q, beta = np.array(qs), np.array(betas)
     coef = (1.0 - q) / (3.0 - q)
-    rngs = [c.seed.child("perturbation") for c in cfgs]
-    ell, guard, lo, hi = cfg.samples_per_iteration, cfg.z_guard, cfg.box_min, cfg.box_max
-    block_start_z = cfg.use_block_start_z
+    rngs = [seed.child("perturbation") for seed in seeds]
+    ell, lo, hi = settings.samples_per_iteration, settings.box_min, settings.box_max
+    block_start_z = settings.use_block_start_z
     records = None
     if keep_records and slow:
         records = [[IterationRecord(0, start, z[0], math.nan)] for _ in systems]
     install = getattr(type(systems[0]), "set_parameters", _set_each)
     steps = [system.step for system in systems]
-    lanes = list(range(len(systems)))  # the caller's index of each live lane
+    live = list(range(len(systems)))  # the caller's index of each live lane
     out = [None] * len(systems)
-    n, m = 0, cfg.num_iterations
-    while n < m and lanes:
+    n, m = 0, settings.num_iterations
+    while n < m and live:
         # One chunk of perturbations for all lanes, shaped (blocks, lanes,
         # dim), with everything about them that does not depend on theta.
         etas = sample_lanes(rngs, qs, dim, min(_CHUNK, m - n))
@@ -232,15 +241,15 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
             # np.multiply(x, c) rounds as c * x does, and costs less with a
             # Python float c
             z = np.multiply(z, alpha**ell) + gains[j] * np.array(sums)[:, None] * eta
-            ok = np.less_equal(np.abs(z), guard)  # also false for a NaN or infinite component
+            ok = np.less_equal(np.abs(z), z_guard)  # also false for a NaN or infinite component
             if np.count_nonzero(ok) < ok.size:  # record and drop the lanes that left the band
                 ok = ok.all(axis=1)
                 for i in np.flatnonzero(~ok):
-                    out[lanes[i]] = DivergenceError(
+                    out[live[i]] = DivergenceError(
                         iteration=n + j, perturbation=eta[i].copy(), cost=lasts[i], z=z[i].copy())
                 keep = np.flatnonzero(ok).tolist()
-                lanes, systems, rngs, qs, means = (
-                    [x[i] for i in keep] for x in (lanes, systems, rngs, qs, means))
+                live, systems, rngs, qs, means = (
+                    [x[i] for i in keep] for x in (live, systems, rngs, qs, means))
                 if records is not None:
                     records = [records[i] for i in keep]
                 steps = [system.step for system in systems]
@@ -255,7 +264,7 @@ def run_lanes(systems: list, cfgs: list, *, keep_records: bool = False,
                     for i, rec in enumerate(records):
                         rec.append(IterationRecord(n + j + 1, theta[i], z[i], means[i]))
         n += len(etas)
-    for i, lane in enumerate(lanes):
+    for i, lane in enumerate(live):
         out[lane] = RunTrace(records=tuple(records[i]) if records is not None else (),
                              final_theta=theta[i].copy(), final_z=z[i].copy())
     return out
@@ -266,7 +275,8 @@ def _run_loop(
     keep_records: bool = True, frozen_theta: np.ndarray | None = None,
 ) -> RunTrace:
     """One lane of :func:`run_lanes`; raises its DivergenceError."""
-    (trace,) = run_lanes([system], [cfg], keep_records=keep_records, frozen_theta=frozen_theta)
+    (trace,) = run_lanes([system], cfg, [(cfg.q, cfg.beta, cfg.seed)], z_guard=cfg.z_guard,
+                         keep_records=keep_records, frozen_theta=frozen_theta)
     if isinstance(trace, DivergenceError):
         raise trace
     return trace

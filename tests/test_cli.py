@@ -64,9 +64,15 @@ def test_trace_subcommand(tiny_config_file, tmp_path, monkeypatch):
     assert len(lines) == 22
 
 
-def test_trace_rejects_off_grid(tiny_config_file, capsys):
-    assert main(["trace", str(tiny_config_file), "--q", "0.7", "--beta", "0.25"]) == 2
-    assert "error" in capsys.readouterr().err
+def test_trace_rejects_off_grid(tiny_config_file, tmp_path, monkeypatch, capsys):
+    # a (q, beta) off the grid, and trials outside the config's range(2)
+    monkeypatch.chdir(tmp_path)
+    for args in (["--q", "0.7", "--beta", "0.25"],
+                 ["--q", "0.9", "--beta", "0.25", "--trial", "7"],
+                 ["--q", "0.9", "--beta", "0.25", "--trial", "-1"]):
+        assert main(["trace", str(tiny_config_file)] + args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("trace_*"))
 
 
 def test_verify_kernel_subcommand(tmp_path, capsys):

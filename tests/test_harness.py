@@ -87,12 +87,23 @@ def test_config_rejects_unknown_keys(tmp_path):
     ('{"q_values": [NaN]}', r"q_values\[0\]"),
     ('{"optimizer": {"M": 0}}', "optimizer.M"),
     ('{"optimizer": {"theta0": [6, 5, 5, 5]}}', "optimizer.theta0"),
+    ('{"optimizer": {"box_min": [0, 0, 0, 5]}}', "optimizer.box_min"),
+    ('{"optimizer": {"box_max": [5, 5, 5]}}', "optimizer.box_max"),
+    ('{"network": {"p_exit": 1.5}}', "network.p_exit"),
+    ('{"optimizer": {"use_block_start_z": 1}}', "optimizer.use_block_start_z"),
+    ('{"network": [1]}', "network must be an object"),
+    ('{"q_values": []}', "q_values"),
+    ('{"beta_values": []}', "beta_values"),
+    ('{"q_values": [0.5, 0.9, 0.5]}', "q_values"),
+    ('{"q_values": [0.0, -0.0]}', "q_values"),
+    ('{"beta_values": [0.25, 0.25]}', "beta_values"),
 ])
 def test_config_rejects_malformed_values_by_key(tmp_path, text, key):
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=key) as err:
         load_config(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_config_round_trip(tmp_path):
@@ -105,6 +116,30 @@ def test_config_round_trip(tmp_path):
     assert loaded.q_values == cfg.q_values
     assert loaded.base_seed == cfg.base_seed
     assert loaded.optimizer.num_iterations == cfg.optimizer.num_iterations
+
+
+def test_config_defaults_are_sized_by_the_network(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"network": {"N1": 1, "N2": 3}, "trials": 2}))
+    cfg = load_config(path)
+    assert cfg.network.dim == 4
+    assert np.array_equal(cfg.optimizer.box_min, np.zeros(4))
+    assert np.array_equal(cfg.optimizer.box_max, np.full(4, 5.0))
+    assert np.array_equal(cfg.optimizer.theta0, np.full(4, 5.0))
+    assert np.array_equal(cfg.network.theta_target, np.ones(4))
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_config(cfg, p1)
+    saved = json.loads(p1.read_text())
+    assert (saved["network"]["N1"], saved["network"]["N2"]) == (1, 3)
+    assert saved["optimizer"]["box_min"] == [0.0] * 4
+    save_config(load_config(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    # another dimension: every vector default follows N1 + N2
+    path.write_text(json.dumps({"network": {"N1": 3, "N2": 2}}))
+    cfg = load_config(path)
+    for vec in (cfg.optimizer.box_min, cfg.optimizer.box_max, cfg.optimizer.theta0,
+                cfg.network.theta_target):
+        assert vec.shape == (5,)
 
 
 def test_config_shape_mismatch():
@@ -308,9 +343,12 @@ def test_single_trial_builds_generators_only_for_streams_it_draws_from(monkeypat
 
 
 def test_trace_run_requires_grid_point():
-    cfg = tiny_config()
+    cfg = tiny_config()  # two trials
     with pytest.raises(ConfigError):
         trace_run(cfg, 0.123, 0.25, 0)
+    for trial in (2, 7, -1):
+        with pytest.raises(ConfigError, match=f"trial {trial} "):
+            trace_run(cfg, 0.9, 0.25, trial)
 
 
 def test_emit_trace_bad_path_raises(tmp_path):

@@ -472,7 +472,8 @@ def test_lanes_match_one_lane_runs_bitwise(monkeypatch):
         return draw(rng, q, dim)
 
     monkeypatch.setattr(qgauss, "sample_vector", counted)
-    lanes = run_lanes([fresh_network(i) for i in range(len(cfgs))], cfgs, keep_records=True)
+    lanes = run_lanes([fresh_network(i) for i in range(len(cfgs))], cfgs[0],
+                      [(c.q, c.beta, c.seed) for c in cfgs], keep_records=True)
     assert fallbacks == {q: 4 if q < 1.0 else 2 for q in LANE_QS}  # two lanes per q
     for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
         got = outcome(replay(lane))
@@ -503,7 +504,7 @@ def test_a_diverging_lane_is_dropped_and_the_others_keep_their_bits():
             return BlowUpNetwork(QueueNetworkConfig(), RngStream(i, 1), after=200)
         return fresh_network(i)
 
-    lanes = run_lanes([system(i) for i in range(4)], cfgs)
+    lanes = run_lanes([system(i) for i in range(4)], cfgs[0], [(c.q, c.beta, c.seed) for c in cfgs])
     assert isinstance(lanes[1], DivergenceError)
     for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
         alone = outcome(lambda: run_qsf(system(i), cfg, keep_records=False))
@@ -518,9 +519,14 @@ def test_a_diverging_lane_is_dropped_and_the_others_keep_their_bits():
     ("z_guard", 1e6),
 ])
 def test_lanes_must_share_the_loop_settings(field, value):
-    # the loop takes M, L, the box, theta0, the flag and the guard from lane 0;
-    # a lane that asks for others is refused, not run on lane 0's
-    cfgs = [network_cfg(1.5, 80, False), network_cfg(0.5, 81, False)]
-    cfgs[1] = replace(cfgs[1], **{field: value})
-    with pytest.raises(ValueError, match=f"lane 1 has another {field} than lane 0"):
-        run_lanes([fresh_network(0), fresh_network(1)], cfgs)
+    # one settings object and one guard serve every lane: each lane runs
+    # under the changed value exactly as the reference loop does with it.
+    # The second lane's small beta drives Z past 1e6 and theta onto the box,
+    # so every value here changes that lane's outcome.
+    cfgs = [replace(network_cfg(q, seed, False, m=70, beta=beta), **{field: value})
+            for q, seed, beta in ((1.5, 80, 0.25), (0.5, 81, 1e-5))]
+    lanes = run_lanes([fresh_network(0), fresh_network(1)], cfgs[0],
+                      [(c.q, c.beta, c.seed) for c in cfgs], z_guard=cfgs[0].z_guard,
+                      keep_records=True)
+    for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
+        assert outcome(replay(lane)) == outcome(lambda: ndarray_loop(fresh_network(i), cfg, cfg.q, True))
