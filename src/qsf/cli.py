@@ -24,7 +24,10 @@ from .rng import RngStream
 
 
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+    values = [float(v) for v in text.split(",") if v != ""]
+    if not values:
+        raise ValueError(f"no numbers in {text!r}")
+    return values
 
 
 def _sweep_rows(records) -> list:
@@ -35,6 +38,8 @@ def _sweep_rows(records) -> list:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = harness.load_config(args.config)
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)

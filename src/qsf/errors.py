@@ -10,11 +10,7 @@ class QuadratureError(QsfError):
 
 
 class ConvergenceError(QsfError):
-    """A Monte Carlo estimate did not converge to the requested tolerance."""
-
-
-class SupportBoundaryError(QsfError):
-    """A point fell on or outside the compact support where a weight overflows."""
+    """A Monte Carlo estimate came out non-finite."""
 
 
 class ConfigError(QsfError):

@@ -115,33 +115,20 @@ class SweepResult:
             [(qc, bc, r.trial, r.final_distance, r.diverged, r.boundary_stuck, r.wall_time)
              for qc, bc, r in zip(q_codes, beta_codes, records)], dtype=_ROW)
 
-    def _records(self, rows: np.ndarray) -> list:
+    @property
+    def records(self) -> list:
+        rows = self._rows
         return [TrialRecord(*row) for row in zip(
             self._qs[rows["q"]].tolist(), self._betas[rows["beta"]].tolist(), rows["trial"].tolist(),
             rows["final_distance"].tolist(), rows["diverged"].tolist(),
             rows["boundary_stuck"].tolist(), rows["wall_time"].tolist())]
 
-    @property
-    def records(self) -> list:
-        return self._records(self._rows)
-
     def _cell(self, q: float, beta: float) -> np.ndarray:
         rows = self._rows
         return rows[(self._qs == q)[rows["q"]] & (self._betas == beta)[rows["beta"]]]
 
-    def cell_records(self, q: float, beta: float) -> list:
-        return self._records(self._cell(q, beta))
-
     def cell_mean(self, q: float, beta: float) -> float:
         return _mean(_distances(self._cell(q, beta)))
-
-    def cell_stderr(self, q: float, beta: float) -> float:
-        return _stderr(_distances(self._cell(q, beta)))
-
-    def cell_divergent(self, q: float, beta: float) -> bool:
-        """A summary cell counts as divergent when a majority of its trials
-        tripped the tracker guard or finished stuck on the box boundary."""
-        return _divergent(self._cell(q, beta))
 
 
 # Statistics of one cell's rows, as SweepResult._cell returns them.
@@ -162,6 +149,8 @@ def _stderr(vals: np.ndarray) -> float:
 
 
 def _divergent(cell: np.ndarray) -> bool:
+    """A summary cell counts as divergent when a majority of its trials
+    tripped the tracker guard or finished stuck on the box boundary."""
     return int(np.count_nonzero(cell["diverged"] | cell["boundary_stuck"])) > len(cell) / 2.0
 
 
@@ -235,6 +224,7 @@ def trace_run(cfg: ExperimentConfig, q: float, beta: float, trial: int) -> RunTr
         bi = cfg.beta_values.index(float(beta))
     except ValueError as exc:
         raise ConfigError(f"(q={q}, beta={beta}) is not on the sweep grid") from exc
+    _integer("trial", trial)  # a float or NumPy trial would hash to another stream
     if trial not in range(cfg.trials):
         raise ConfigError(f"trial {trial} is not one of the sweep's trials 0..{cfg.trials - 1}")
     network, (q, beta, seed) = _build_trial(cfg, derive_cell_stream(cfg.base_seed, qi, bi, trial), qi, bi)

@@ -17,12 +17,12 @@ kernel (q, beta) and its seed; :class:`TwoTimescaleConfig` is the settings
 of one run, and checks only q and beta beyond them.
 
 The recursion is one lane loop, :func:`run_lanes`. K runs of one settings
-object and one guard advance block by block together, each with its own
-(q, beta, seed), with theta, Z, the perturbations and the perturbed
-parameters held as (K, dim) arrays, so a block's bookkeeping is a fixed
-number of NumPy calls whatever K is; each lane's system still runs its L
-steps in a scalar loop. The perturbations of 64 blocks of all lanes come
-from one :func:`qsf.qgauss.sample_lanes` call. ``run_qsf``,
+object advance block by block together, each with its own (q, beta, seed),
+with theta, Z, the perturbations and the perturbed parameters held as
+(K, dim) arrays, so a block's bookkeeping is a fixed number of NumPy calls
+whatever K is; each lane's system still runs its L steps in a scalar loop.
+The perturbations of 64 blocks of all lanes come from one
+:func:`qsf.qgauss.sample_lanes` call. ``run_qsf``,
 ``run_gaussian_sf`` and ``fast_timescale_diagnostic`` are one-lane calls,
 and the sweep runs batches of up to ``qsf.harness.LANE_BATCH`` = 32 lanes.
 A queue-network lane holds up to about 25 KB of its own: five lookaheads of
@@ -55,7 +55,9 @@ from .errors import DivergenceError
 from .qgauss import sample_lanes, sample_vector  # noqa: F401
 from .rng import RngStream
 
-Z_GUARD_DEFAULT = 1e12
+# A lane whose tracker has a component beyond this band, or a non-finite
+# one, has diverged.
+Z_GUARD = 1e12
 
 # Blocks of perturbations drawn per sample_lanes call.
 _CHUNK = 64
@@ -93,7 +95,7 @@ class OptimizerSettings:
         vectors = ("box_min", "box_max", "theta0")
         for name in vectors:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.num_iterations < 1 or self.samples_per_iteration < 1:
+        if not (self.num_iterations >= 1 and self.samples_per_iteration >= 1):
             raise ValueError("num_iterations and samples_per_iteration must be >= 1")
         shapes = [getattr(self, name).shape for name in vectors]
         for name, shape in zip(vectors, shapes):
@@ -102,7 +104,7 @@ class OptimizerSettings:
                                  f"point must share one shape")
         if not np.all(self.box_min < self.box_max):
             raise ValueError("box_min must lie below box_max componentwise")
-        if np.any(self.theta0 < self.box_min) or np.any(self.theta0 > self.box_max):
+        if not np.all((self.box_min <= self.theta0) & (self.theta0 <= self.box_max)):  # NaN fails too
             raise ValueError("theta0 must lie inside the box")
 
     @property
@@ -112,13 +114,11 @@ class OptimizerSettings:
 
 @dataclass(frozen=True, kw_only=True)
 class TwoTimescaleConfig(OptimizerSettings):
-    """One run: the shared settings plus its kernel (q, beta), its seed and
-    the tracker guard."""
+    """One run: the shared settings plus its kernel (q, beta) and its seed."""
 
     q: float
     beta: float
     seed: RngStream
-    z_guard: float = Z_GUARD_DEFAULT
 
     def __post_init__(self):
         super().__post_init__()
@@ -173,19 +173,17 @@ def _set_each(systems, thetas: np.ndarray) -> None:
 
 
 def run_lanes(systems: list, settings: OptimizerSettings, lanes: list, *,
-              z_guard: float = Z_GUARD_DEFAULT, keep_records: bool = False,
-              frozen_theta: np.ndarray | None = None) -> list:
+              keep_records: bool = False, frozen_theta: np.ndarray | None = None) -> list:
     """The two-timescale recursion for K lanes in lockstep; with
     ``frozen_theta`` only its fast part.
 
     Lane k runs ``systems[k]`` with the kernel and seed ``lanes[k]`` =
     (q, beta, seed); M, L, the box, theta0 and the block-start flag come
-    from ``settings`` and the guard band is ``z_guard``, for every lane
-    alike. Item k of the result is lane k's RunTrace, or the DivergenceError
-    of a lane whose tracker left the guard band: that lane is dropped at
-    that block and the others run on unchanged. A frozen run holds theta at
-    ``frozen_theta``: it takes no slow step and no projection, and its
-    traces keep no records.
+    from ``settings``, for every lane alike. Item k of the result is lane
+    k's RunTrace, or the DivergenceError of a lane whose tracker left the
+    band ``Z_GUARD``: that lane is dropped at that block and the others run
+    on unchanged. A frozen run holds theta at ``frozen_theta``: it takes no
+    slow step and no projection, and its traces keep no records.
 
     Theta, Z and the perturbed parameters are (K, dim) arrays; each
     elementwise operation rounds as its per-lane scalar form does, and every
@@ -241,7 +239,7 @@ def run_lanes(systems: list, settings: OptimizerSettings, lanes: list, *,
             # np.multiply(x, c) rounds as c * x does, and costs less with a
             # Python float c
             z = np.multiply(z, alpha**ell) + gains[j] * np.array(sums)[:, None] * eta
-            ok = np.less_equal(np.abs(z), z_guard)  # also false for a NaN or infinite component
+            ok = np.less_equal(np.abs(z), Z_GUARD)  # also false for a NaN or infinite component
             if np.count_nonzero(ok) < ok.size:  # record and drop the lanes that left the band
                 ok = ok.all(axis=1)
                 for i in np.flatnonzero(~ok):
@@ -270,28 +268,23 @@ def run_lanes(systems: list, settings: OptimizerSettings, lanes: list, *,
     return out
 
 
-def _run_loop(
-    system: BlackBoxSystem, cfg: TwoTimescaleConfig,
-    keep_records: bool = True, frozen_theta: np.ndarray | None = None,
-) -> RunTrace:
-    """One lane of :func:`run_lanes`; raises its DivergenceError."""
-    (trace,) = run_lanes([system], cfg, [(cfg.q, cfg.beta, cfg.seed)], z_guard=cfg.z_guard,
-                         keep_records=keep_records, frozen_theta=frozen_theta)
+def _run_loop(system: BlackBoxSystem, cfg: TwoTimescaleConfig,
+              frozen_theta: np.ndarray | None = None) -> RunTrace:
+    """One lane of :func:`run_lanes`, with its records; raises its DivergenceError."""
+    (trace,) = run_lanes([system], cfg, [(cfg.q, cfg.beta, cfg.seed)], keep_records=True,
+                         frozen_theta=frozen_theta)
     if isinstance(trace, DivergenceError):
         raise trace
     return trace
 
 
-def run_qsf(system: BlackBoxSystem, cfg: TwoTimescaleConfig, *, keep_records: bool = True) -> RunTrace:
+def run_qsf(system: BlackBoxSystem, cfg: TwoTimescaleConfig) -> RunTrace:
     """Run the weighted-perturbation algorithm; deterministic given cfg.seed.
 
-    With ``keep_records=False`` the returned trace holds only the final
-    point, for callers such as the sweep that need nothing else.
-
     Raises DivergenceError (with the failing iteration, perturbation and cost)
-    when the tracker leaves the finite guard band.
+    when the tracker leaves the band ``Z_GUARD``.
     """
-    return _run_loop(system, cfg, keep_records=keep_records)
+    return _run_loop(system, cfg)
 
 
 def run_gaussian_sf(system: BlackBoxSystem, cfg: TwoTimescaleConfig) -> RunTrace:
@@ -309,4 +302,4 @@ def fast_timescale_diagnostic(
     gradient at theta_frozen (compare against quadrature of
     :func:`qsf.oracles.smoothed_gradient_1d`).
     """
-    return _run_loop(system, cfg, keep_records=False, frozen_theta=theta_frozen).final_z
+    return _run_loop(system, cfg, frozen_theta=theta_frozen).final_z

@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, interpolate, special, stats
 
-from .errors import ConvergenceError, QuadratureError
-from .qgauss import QGaussianSpec, cutoff_radius, max_normalizable_q, sample_batch, sample_matrix
+from .errors import QuadratureError
+from .qgauss import QGaussianSpec, cutoff_radius, max_normalizable_q, sample_batch
 from .rng import RngStream
 
 ABS_TOL = 1e-10
@@ -54,15 +54,15 @@ def quad_checked(
     return value
 
 
-def probe_divergence(f: Callable[[float], float], *, start: float = 1e3, rounds: int = 3) -> bool:
+def probe_divergence(f: Callable[[float], float]) -> bool:
     """Heuristic test that the two-sided improper integral of ``f`` diverges.
 
-    Integrates |f| over symmetric intervals of growing length and reports
-    True when the totals keep growing instead of stabilizing.
+    Integrates |f| over [-t, t] for t = 1e3, 1e5 and 1e7 and reports True
+    when the totals keep growing instead of stabilizing.
     """
     totals = []
-    t = start
-    for _ in range(rounds):
+    t = 1e3
+    for _ in range(3):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             v, _ = integrate.quad(lambda x: abs(f(x)), -t, t, limit=400)
@@ -192,11 +192,6 @@ def pdf_batch(xs: np.ndarray, spec: QGaussianSpec) -> np.ndarray:
     return np.exp(np.log(br) / (1.0 - q)) / (beta * k)
 
 
-def escort_weight_batch(z: np.ndarray, q: float) -> np.ndarray:
-    """Per-sample weights 1 / (1 - (1-q)/(3-q) z^2) for q-expectation reweighting."""
-    return 1.0 / _bracket(np.asarray(z, dtype=float) ** 2, q, 1.0)
-
-
 def _support_bounds(spec: QGaussianSpec) -> tuple[float, float]:
     if spec.q < 1.0:
         r = cutoff_radius(spec.q, spec.beta)
@@ -204,63 +199,28 @@ def _support_bounds(spec: QGaussianSpec) -> tuple[float, float]:
     return -math.inf, math.inf
 
 
-def q_expectation(
-    f: Callable,
-    spec: QGaussianSpec,
-    *,
-    method: str = "auto",
-    rng: RngStream | None = None,
-    num_samples: int = 200_000,
-    mc_tol: float = 5e-3,
-) -> float:
-    """Expectation of f under the escort density p^q / int p^q.
-
-    dim <= 2 uses adaptive quadrature (f takes a scalar for dim=1, a length-2
-    vector for dim=2). Higher dimensions use self-normalized reweighting of
-    i.i.d. component samples, which targets the escort of the product density;
-    this path needs an ``rng`` and raises ConvergenceError when the standard
-    error of the ratio exceeds ``mc_tol``.
-    """
-    if method == "auto":
-        method = "quadrature" if spec.dim <= 2 else "mc"
-    if method == "quadrature":
-        if spec.dim == 1:
-            lo, hi = _support_bounds(spec)
-            power = lambda x: pdf(x, spec) ** spec.q
-            num = quad_checked(lambda x: f(x) * power(x), lo, hi)
-            den = quad_checked(power, lo, hi)
-            return num / den
-        if spec.dim == 2:
-            if spec.q > 1.0 and spec.q >= max_normalizable_q(2):
-                raise ValueError("2-variate density requires q < 2")
-            lo0, hi0 = _support_bounds(QGaussianSpec(spec.q, spec.beta, 1, spec.mu[:1]))
-            lo1, hi1 = _support_bounds(QGaussianSpec(spec.q, spec.beta, 1, spec.mu[1:]))
-            power = lambda y, x: pdf(np.array([x, y]), spec) ** spec.q
-            num, _ = integrate.dblquad(
-                lambda y, x: f(np.array([x, y])) * power(y, x), lo0, hi0, lo1, hi1,
-                epsabs=1e-10, epsrel=1e-8,
-            )
-            den, _ = integrate.dblquad(power, lo0, hi0, lo1, hi1, epsabs=1e-10, epsrel=1e-8)
-            return num / den
-        raise ValueError("quadrature path supports dim <= 2")
-    if method == "mc":
-        if rng is None:
-            raise ValueError("Monte Carlo path requires an rng")
-        zs = sample_matrix(rng, spec.q, num_samples, spec.dim)
-        w = np.prod(escort_weight_batch(zs, spec.q), axis=1)
-        xs = spec.mu[None, :] + spec.beta * zs
-        fv = np.array([f(x if spec.dim > 1 else float(x[0])) for x in xs])
-        num, den = float(np.mean(fv * w)), float(np.mean(w))
-        est = num / den
-        # Delta-method standard error of the self-normalized ratio.
-        resid = (fv * w - est * w) / den
-        se = float(np.std(resid) / math.sqrt(num_samples))
-        if not math.isfinite(est) or se > mc_tol * max(1.0, abs(est)):
-            raise ConvergenceError(
-                f"escort-weighted mean did not converge: est={est!r}, se={se:.3e}"
-            )
-        return est
-    raise ValueError(f"unknown method {method!r}")
+def q_expectation(f: Callable, spec: QGaussianSpec) -> float:
+    """Expectation of f under the escort density p^q / int p^q, by adaptive
+    quadrature: f takes a scalar for dim=1, a length-2 vector for dim=2."""
+    if spec.dim == 1:
+        lo, hi = _support_bounds(spec)
+        power = lambda x: pdf(x, spec) ** spec.q
+        num = quad_checked(lambda x: f(x) * power(x), lo, hi)
+        den = quad_checked(power, lo, hi)
+        return num / den
+    if spec.dim == 2:
+        if spec.q > 1.0 and spec.q >= max_normalizable_q(2):
+            raise ValueError("2-variate density requires q < 2")
+        lo0, hi0 = _support_bounds(QGaussianSpec(spec.q, spec.beta, 1, spec.mu[:1]))
+        lo1, hi1 = _support_bounds(QGaussianSpec(spec.q, spec.beta, 1, spec.mu[1:]))
+        power = lambda y, x: pdf(np.array([x, y]), spec) ** spec.q
+        num, _ = integrate.dblquad(
+            lambda y, x: f(np.array([x, y])) * power(y, x), lo0, hi0, lo1, hi1,
+            epsabs=1e-10, epsrel=1e-8,
+        )
+        den, _ = integrate.dblquad(power, lo0, hi0, lo1, hi1, epsabs=1e-10, epsrel=1e-8)
+        return num / den
+    raise ValueError("q_expectation supports dim <= 2")
 
 
 def tsallis_entropy(spec: QGaussianSpec) -> float:
@@ -303,17 +263,6 @@ def lambda_q(q: float, dim: int = 1) -> float:
         return math.exp(expo * math.log(br)) if br > 0.0 else 0.0
 
     return radial_integral(integrand, dim, r_max) / k
-
-
-def lambda_q_mc(q: float, rng: RngStream, num_samples: int = 200_000) -> tuple[float, float]:
-    """Monte Carlo Lambda as the plain mean of the escort weight (dim=1).
-
-    Returns (estimate, standard error). Only the univariate case is offered:
-    component-wise sampling does not realize the joint multivariate density.
-    """
-    z = sample_batch(rng, q, num_samples)
-    w = escort_weight_batch(z, q)
-    return float(np.mean(w)), float(np.std(w) / math.sqrt(num_samples))
 
 
 def quadrature_cdf(spec: QGaussianSpec, *, panels: int = 4096) -> Callable[[np.ndarray], np.ndarray]:
@@ -485,20 +434,14 @@ def _grad_formula(x: float, q: float, beta: float, spec_b: QGaussianSpec) -> flo
     return -(2.0 * x / ((3.0 - q) * beta * beta)) * pdf(x, spec_b) / br
 
 
-def verify_kernel_properties(
-    q: float,
-    beta_sequence,
-    test_function: Callable[[float], float] | None = None,
-    *,
-    concentration_eps: float = 0.5,
-) -> KernelPropertyReport:
+def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
     """Numerically check the five sufficient smoothing-kernel conditions (1-D).
 
     P1 scale identity, P2 piecewise differentiability (analytic gradient vs
     central differences, exact zero outside the cutoff for q < 1), P3 unit
-    mass, P4 concentration of mass near 0 as beta shrinks, P5 convergence of
-    the smoothed value of ``test_function`` (default cosine) at 0. Failures
-    are recorded in the report, never raised.
+    mass, P4 concentration of mass in [-0.5, 0.5] as beta shrinks, P5
+    convergence of the smoothed cosine at 0. Failures are recorded in the
+    report, never raised.
     """
     betas = tuple(float(b) for b in beta_sequence)
     if not betas or any(b <= 0.0 for b in betas):
@@ -507,7 +450,6 @@ def verify_kernel_properties(
         raise ValueError("beta_sequence must be strictly decreasing")
     if not q < 3.0:
         raise ValueError(f"q must be < 3 (got {q})")
-    f = test_function if test_function is not None else math.cos
     std = QGaussianSpec(q)
     compact = q < 1.0
     z_edge = cutoff_radius(q) if compact else 5.0
@@ -563,10 +505,11 @@ def verify_kernel_properties(
     p3 = PropertyCheck("P3-unit-mass", worst3 <= 1e-6, worst3, {"tol": 1e-6})
 
     # P4: mass outside a fixed ball shrinks toward 0 along the beta sequence.
+    eps = 0.5
     outside_mass = []
     for b in betas:
         spec_b = QGaussianSpec(q, b)
-        lo = max(-concentration_eps, -b * z_edge) if compact else -concentration_eps
+        lo = max(-eps, -b * z_edge) if compact else -eps
         inner = quad_checked(lambda x: pdf(x, spec_b), lo, -lo, atol=1e-12, rtol=1e-10)
         outside_mass.append(max(0.0, 1.0 - inner))
     # mass can reach exactly zero for compact supports, so require
@@ -577,7 +520,7 @@ def verify_kernel_properties(
         "P4-concentration",
         dec4 and conc4,
         outside_mass[-1],
-        {"epsilon": concentration_eps, "mass_outside": outside_mass},
+        {"epsilon": eps, "mass_outside": outside_mass},
     )
 
     # P5: the smoothed value converges to the true value as beta -> 0. The
@@ -587,7 +530,7 @@ def verify_kernel_properties(
     converged = True
     for b in betas:
         try:
-            errors5.append(abs(_smoothed_at_zero(f, q, b, std, z_edge) - f(0.0)))
+            errors5.append(abs(_smoothed_cos_at_zero(q, b, std, z_edge) - 1.0))
         except QuadratureError:
             converged = False
             errors5.append(math.nan)
@@ -604,16 +547,12 @@ def verify_kernel_properties(
     return KernelPropertyReport(q=q, betas=betas, checks=(p1, p2, p3, p4, p5))
 
 
-def _smoothed_at_zero(f, q: float, beta: float, std: QGaussianSpec, z_edge: float) -> float:
-    """S_{q,beta}[f](0) by quadrature in standard units."""
+def _smoothed_cos_at_zero(q: float, beta: float, std: QGaussianSpec, z_edge: float) -> float:
+    """S_{q,beta}[cos](0) by quadrature in standard units."""
     if q < 1.0:
-        return quad_checked(lambda z: pdf(z, std) * f(-beta * z), -z_edge, z_edge)
-    if f is math.cos:
-        # Fourier-weight quadrature handles slowly decaying oscillatory tails.
-        return 2.0 * quad_checked(
-            lambda z: pdf(z, std), 0.0, math.inf, weight="cos", wvar=beta
-        )
-    return quad_checked(lambda z: pdf(z, std) * f(-beta * z), -math.inf, math.inf)
+        return quad_checked(lambda z: pdf(z, std) * math.cos(-beta * z), -z_edge, z_edge)
+    # Fourier-weight quadrature handles slowly decaying oscillatory tails.
+    return 2.0 * quad_checked(lambda z: pdf(z, std), 0.0, math.inf, weight="cos", wvar=beta)
 
 
 def qgauss_invariants(q: float, beta: float, dims: list[int], rng: RngStream) -> list[tuple[str, bool, str]]:

@@ -33,9 +33,6 @@ import numpy as np
 
 from .rng import RngStream
 
-FULL_SPACE = "full-space"
-BALL = "ball"
-
 # Margin (absolute, in standard units) inside the compact support within which
 # draws are rejected and redrawn: the estimator weight 1/(1 - |z|^2/R^2-ish)
 # would overflow on the boundary shell.
@@ -69,22 +66,6 @@ class QGaussianSpec:
         object.__setattr__(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class SupportRegion:
-    """Support of the density: a ball for q < 1, all of R^N otherwise."""
-
-    kind: str
-    radius: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in (FULL_SPACE, BALL):
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        if self.kind == BALL and not (self.radius is not None and self.radius > 0.0):
-            raise ValueError("ball support requires a positive radius")
-        if self.kind == FULL_SPACE and self.radius is not None:
-            raise ValueError("full-space support carries no radius")
-
-
 def q_log(x: float, q: float) -> float:
     """Deformed logarithm: (x^(1-q) - 1) / (1-q), natural log at q = 1."""
     if x <= 0.0:
@@ -105,13 +86,6 @@ def cutoff_radius(q: float, beta: float = 1.0) -> float:
     if not q < 1.0:
         raise ValueError("the support is compact only for q < 1")
     return beta * math.sqrt((3.0 - q) / (1.0 - q))
-
-
-def support(spec: QGaussianSpec) -> SupportRegion:
-    """Support region of the distribution, centered at spec.mu."""
-    if spec.q < 1.0:
-        return SupportRegion(BALL, cutoff_radius(spec.q, spec.beta))
-    return SupportRegion(FULL_SPACE)
 
 
 def max_normalizable_q(dim: int) -> float:
@@ -168,11 +142,6 @@ def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
         z[pending] = redraw
         pending = pending[_near_boundary(redraw, radius)]
     return z
-
-
-def sample_scalar(rng: RngStream, q: float) -> float:
-    """One draw from the standard univariate distribution (q-variance 1)."""
-    return float(sample_batch(rng, q, 1)[0])
 
 
 def sample_vector(rng: RngStream, q: float, dim: int) -> np.ndarray:

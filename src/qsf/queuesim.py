@@ -31,15 +31,8 @@ from .rng import RngStream
 
 _INF = math.inf
 
-EVENT_COMPLETION_1 = "svc1"
-EVENT_COMPLETION_2 = "svc2"
-EVENT_ARRIVAL_1 = "arr1"
-EVENT_ARRIVAL_2 = "arr2"
-
 # Event codes, in the tie-break order of step().
 _EV_SVC1, _EV_SVC2, _EV_ARR1, _EV_ARR2 = range(4)
-_EVENT_NAMES = (EVENT_COMPLETION_1, EVENT_COMPLETION_2, EVENT_ARRIVAL_1, EVENT_ARRIVAL_2)
-_EVENT_NODES = (1, 2, 1, 2)
 
 # Streams, as indices into QueueNetwork._ahead, and the first and the largest
 # lookahead chunk. A short run reads only tens of draws from a stream.
@@ -63,11 +56,11 @@ class QueueNetworkConfig:
     count_in_service: bool = True  # cost counts the customer being served
 
     def __post_init__(self):
-        if self.lambda1 <= 0.0 or self.lambda2 <= 0.0 or self.R1 <= 0.0 or self.R2 <= 0.0:
+        if not all(x > 0.0 for x in (self.lambda1, self.lambda2, self.R1, self.R2)):  # NaN fails too
             raise ValueError("rates and service scales must be strictly positive")
         if not 0.0 < self.p_exit < 1.0:
             raise ValueError(f"p_exit must be in (0, 1), got {self.p_exit}")
-        if self.N1 < 1 or self.N2 < 1:
+        if not (self.N1 >= 1 and self.N2 >= 1):
             raise ValueError("N1 and N2 must be >= 1")
         dim = self.N1 + self.N2
         target = np.ones(dim) if self.theta_target is None else np.asarray(self.theta_target, float)
@@ -105,16 +98,6 @@ def _service_scales(gaps: np.ndarray, r: float) -> list:
     return ((1.0 + np.vecdot(gaps, gaps)) / r).tolist()
 
 
-def service_time(u: float, theta_i: np.ndarray, theta_bar_i: np.ndarray, R_i: float) -> float:
-    """One service duration u * (1 + |theta_i - theta_bar_i|^2) / R_i."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must be in the open interval (0, 1), got {u}")
-    gap = np.asarray(theta_i, float) - np.asarray(theta_bar_i, float)
-    if gap.ndim != 1:
-        raise ValueError("theta_i and theta_bar_i must be vectors")
-    return u * _service_scales(gap[None], R_i)[0]
-
-
 class QueueNetwork:
     """Mutable single-threaded simulator instance; one per trial.
 
@@ -134,10 +117,9 @@ class QueueNetwork:
         "_scale1", "_scale2", "_theta",
         "_lambda1", "_lambda2", "_p_exit", "_count_in_service",
         "external_arrivals", "node1_completions", "node2_completions", "exits",
-        "_trace",
     )
 
-    def __init__(self, config: QueueNetworkConfig, rng: RngStream, *, record_events: bool = False):
+    def __init__(self, config: QueueNetworkConfig, rng: RngStream):
         self.config = config
         self._arr1 = rng.child("arrival", 1)
         self._arr2 = rng.child("arrival", 2)
@@ -146,7 +128,6 @@ class QueueNetwork:
         self._route = rng.child("routing")
         self._ahead = tuple(array("d") for _ in range(5))  # indexed by _ARR1 ... _ROUTE
         self._chunks = [_FIRST_CHUNK] * 5  # the next refill's size, per stream
-        self._trace = [] if record_events else None
         self.set_parameter(config.theta_target)
         self._lambda1 = config.lambda1
         self._lambda2 = config.lambda2
@@ -183,8 +164,6 @@ class QueueNetwork:
         self.node1_completions = 0
         self.node2_completions = 0
         self.exits = 0
-        if self._trace is not None:
-            self._trace.clear()
 
     def set_parameter(self, theta: np.ndarray) -> None:
         """Install theta = (theta_1, theta_2) for services started from now on.
@@ -226,10 +205,6 @@ class QueueNetwork:
             next_completion2=None if self._tc2 == _INF else self._tc2,
             theta=self._theta.copy(),
         )
-
-    @property
-    def in_system(self) -> int:
-        return self.queue1 + self.queue2
 
     def step(self) -> float:
         """Process the earliest pending event and return the cost sample.
@@ -297,22 +272,5 @@ class QueueNetwork:
                     ahead = self._ahead[_SVC1]
                     self._tc1 = t + (ahead.pop() if ahead else self._refill(_SVC1)) * self._scale1
         if self._count_in_service:
-            cost = float(q1 + q2)
-        else:
-            cost = float(max(q1 - (self._tc1 != _INF), 0) + max(q2 - (self._tc2 != _INF), 0))
-        if self._trace is not None:
-            self._trace.append((t, _EVENT_NAMES[ev], _EVENT_NODES[ev], q1, q2, cost))
-        return cost
-
-    @property
-    def event_trace(self) -> list | None:
-        return self._trace
-
-    def write_event_trace(self, path) -> None:
-        """Dump the recorded event log as CSV (debug aid for small horizons)."""
-        if self._trace is None:
-            raise ValueError("network was not constructed with record_events=True")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("clock,event_type,node,q1,q2,cost\n")
-            for clock, name, node, q1, q2, cost in self._trace:
-                fh.write(f"{clock!r},{name},{node},{q1},{q2},{cost!r}\n")
+            return float(q1 + q2)
+        return float(max(q1 - (self._tc1 != _INF), 0) + max(q2 - (self._tc2 != _INF), 0))

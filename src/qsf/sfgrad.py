@@ -1,13 +1,13 @@
-"""Smoothed functionals and the weighted perturbation gradient estimator.
+"""The weighted perturbation gradient estimator.
 
 Smoothing a function J with the kernel family of :mod:`qsf.qgauss` gives
 
     S_{q,beta}[J](theta) = E[J(theta - beta z)],   z ~ standard kernel vector.
 
 The gradient of the smoothed cost can be written as an expectation over the
-same perturbations, which yields the single-simulation estimator
+same perturbations, which yields the estimator
 
-    (1/(beta M L)) sum_n sum_m  z(n) * J_m(theta + beta z(n)) * w(z(n)),
+    (1/(beta M)) sum_n  z(n) * J(theta + beta z(n)) * w(z(n)),
     w(z) = 1 / (1 - (1-q)/(3-q) |z|^2),
 
 whose mean, for z drawn from the joint dim-variate density, converges
@@ -18,8 +18,8 @@ The sampler draws the components of z i.i.d., not from the joint law, so
 for dim > 1 and q != 1 the estimator is biased.
 
 :func:`estimate_gradient` holds at its peak the perturbations ``zs``, the
-perturbed points, the mean costs ``fv`` and the output of one ``f`` call
-(2.5 times the size of ``zs`` in dim 4). The points are freed once ``f``
+perturbed points and the costs ``fv``, the output of the one ``f`` call
+(2.25 times the size of ``zs`` in dim 4). The points are freed once ``f``
 has run; the weights and the terms z * f * w / beta are then built block by
 block, ``qgauss.ARRAY_BLOCK`` rows at a time, over ``zs`` itself, and each
 block's column sum goes into one Kahan-compensated total. Every step is
@@ -35,28 +35,27 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, SupportBoundaryError
+from .errors import ConvergenceError
 from .qgauss import ARRAY_BLOCK, sample_matrix
 from .rng import RngStream
 
 
 @dataclass(frozen=True)
 class GradEstimatorConfig:
-    """Estimator shape: kernel (q, beta), dimension, and averaging sizes."""
+    """Estimator shape: kernel (q, beta), dimension and perturbation count."""
 
     q: float
     beta: float
     dim: int
-    num_perturbations: int  # outer perturbation count M
-    samples_per_perturbation: int = 1  # cost observations per perturbation L
+    num_perturbations: int  # perturbation count M
 
     def __post_init__(self):
         if not self.q < 3.0:
             raise ValueError(f"q must be < 3 (got {self.q})")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be > 0 (got {self.beta})")
-        if self.dim < 1 or self.num_perturbations < 1 or self.samples_per_perturbation < 1:
-            raise ValueError("dim, num_perturbations and samples_per_perturbation must be >= 1")
+        if self.dim < 1 or self.num_perturbations < 1:
+            raise ValueError("dim and num_perturbations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -67,42 +66,6 @@ class GradEstimate:
     stderr: np.ndarray
 
 
-def sf_weight(eta, q: float) -> float:
-    """Perturbation weight 1 / (1 - (1-q)/(3-q) |eta|^2); identically 1 at q = 1."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    norm2 = float(eta @ eta)
-    if q < 1.0:
-        limit = (3.0 - q) / (1.0 - q)
-        if norm2 >= limit:
-            raise SupportBoundaryError(
-                f"|eta|^2 = {norm2:.6g} is outside the open support (limit {limit:.6g})"
-            )
-    return 1.0 / (1.0 - ((1.0 - q) / (3.0 - q)) * norm2)
-
-
-def smoothed_value(
-    f: Callable,
-    theta: np.ndarray,
-    q: float,
-    beta: float,
-    num_samples: int,
-    rng: RngStream,
-    *,
-    vectorized: bool = False,
-) -> float:
-    """Monte Carlo smoothed functional: mean of f(theta - beta z)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    dim = theta.shape[0]
-    pts = sample_matrix(rng, q, num_samples, dim)  # z, then theta - beta z in place
-    pts *= beta
-    np.subtract(theta, pts, out=pts)
-    if vectorized:
-        fv = np.asarray(f(pts), dtype=float)
-    else:
-        fv = np.fromiter((f(p) for p in pts), dtype=float, count=num_samples)
-    return float(np.mean(fv))
-
-
 def estimate_gradient(
     f: Callable,
     theta: np.ndarray,
@@ -111,28 +74,25 @@ def estimate_gradient(
     *,
     vectorized: bool = False,
 ) -> GradEstimate:
-    """Weighted perturbation gradient estimate at theta from M perturbation blocks.
+    """Weighted perturbation gradient estimate at theta from M perturbations.
 
     In dim 1 the mean tends (beta -> 0) to ((3-q)/2) * grad f(theta). The
     i.i.d. component draws make it biased for dim > 1 when q != 1.
-    ``f`` is evaluated samples_per_perturbation times at each perturbed point
-    (it may be a noisy oracle); pass ``vectorized=True`` when f maps an
-    (n, dim) array to n values. Deterministic for a given rng.
+    ``f`` is evaluated once at each perturbed point (it may be a noisy
+    oracle); pass ``vectorized=True`` when f maps an (n, dim) array to n
+    values. Deterministic for a given rng.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (cfg.dim,):
         raise ValueError(f"theta must have shape ({cfg.dim},), got {theta.shape}")
-    m, ell = cfg.num_perturbations, cfg.samples_per_perturbation
+    m = cfg.num_perturbations
     zs = sample_matrix(rng, cfg.q, m, cfg.dim)
     pts = cfg.beta * zs
     pts += theta
     if vectorized:
-        fv = np.zeros(m)
-        for _ in range(ell):
-            fv += np.asarray(f(pts), dtype=float)
-        fv /= ell
+        fv = np.asarray(f(pts), dtype=float)
     else:
-        fv = np.fromiter((sum(f(p) for _ in range(ell)) / ell for p in pts), dtype=float, count=m)
+        fv = np.fromiter((f(p) for p in pts), dtype=float, count=m)
     del pts
     k = (1.0 - cfg.q) / (3.0 - cfg.q)
     total = np.zeros(cfg.dim)

@@ -213,8 +213,8 @@ def test_criterion_8_benchmark_desk_scale():
     mean_q10 = result.cell_mean(1.0, 0.25)
     initial = 8.0  # sqrt(4 * 16) for the benchmark geometry
     halved = sum(
-        1 for r in result.cell_records(0.9, 0.25)
-        if not r.diverged and r.final_distance < initial / 2.0
+        1 for r in result.records
+        if (r.q, r.beta) == (0.9, 0.25) and not r.diverged and r.final_distance < initial / 2.0
     )
     ok = (
         1.4 <= mean_q09 <= 3.4
@@ -247,7 +247,7 @@ def test_criterion_9_stability_observation():
         base_seed=20240101,
     )
     result = run_experiment(cfg)
-    recs = result.cell_records(2.5, 2.5)
+    recs = result.records  # the one cell (2.5, 2.5)
     flagged = sum(1 for r in recs if r.diverged or r.boundary_stuck)
     dists = [r.final_distance for r in recs if not r.diverged]
     mean_dist = float(np.mean(dists)) if dists else math.nan

@@ -98,10 +98,19 @@ def test_qgauss_verify_subcommand(capsys):
     ["verify-kernel", "--q", "1.0", "--betas", "0.1,0.5"],
     ["verify-kernel", "--q", "3.5", "--betas", "0.5,0.1"],
     ["qgauss", "verify", "--q", "0.5", "--dims", "0"],
+    ["qgauss", "verify", "--q", ","],  # nothing to check is not a pass
+    ["qgauss", "verify", "--q", "0.5", "--beta", ","],
 ])
 def test_bad_arguments_report_error(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_run_rejects_worker_counts_below_one(tiny_config_file, tmp_path, workers, capsys):
+    assert main(["run", str(tiny_config_file), "--workers", workers]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "results").exists()
 
 
 def test_bad_config_reports_error(tmp_path, capsys):

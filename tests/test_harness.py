@@ -195,7 +195,7 @@ def test_run_experiment_grid_and_summary(tmp_path):
     result = run_experiment(cfg)
     assert len(result.records) == 2 * 1 * 3
     for q in (0.9, 1.0):
-        cell = [r.final_distance for r in result.cell_records(q, 0.25)]
+        cell = [r.final_distance for r in result.records if (r.q, r.beta) == (q, 0.25)]
         assert len(cell) == 3
         # summary mean must equal the arithmetic mean of its records exactly
         assert result.cell_mean(q, 0.25) == float(np.mean(cell))
@@ -266,14 +266,16 @@ def test_divergent_cells_render_as_div(tmp_path):
         TrialRecord(0.9, 0.25, 2, 2.0, False, False, 0.0),
     ]
     result = SweepResult(config=cfg, records=records)
-    assert result.cell_divergent(0.9, 0.25)
     table = summarize(result, tmp_path)
     assert table[1][1] == "DIV"
+    # boundary-stuck trials count as divergent too
+    records[1] = TrialRecord(0.9, 0.25, 1, 9.0, False, True, 0.0)
+    assert summarize(SweepResult(config=cfg, records=records))[1][1] == "DIV"
     # a majority of clean trials keeps the mean
     records[0] = TrialRecord(0.9, 0.25, 0, 1.0, False, False, 0.0)
     records[1] = TrialRecord(0.9, 0.25, 1, 3.0, False, False, 0.0)
     result = SweepResult(config=cfg, records=records)
-    assert not result.cell_divergent(0.9, 0.25)
+    assert summarize(result)[1][1] == repr(2.0)
     assert result.cell_mean(0.9, 0.25) == 2.0
 
 
@@ -348,6 +350,10 @@ def test_trace_run_requires_grid_point():
         trace_run(cfg, 0.123, 0.25, 0)
     for trial in (2, 7, -1):
         with pytest.raises(ConfigError, match=f"trial {trial} "):
+            trace_run(cfg, 0.9, 0.25, trial)
+    # 1.0 == 1, but the float would hash to a stream the sweep never ran
+    for trial in (1.0, True, np.int64(1)):
+        with pytest.raises(ConfigError, match="trial must be an integer"):
             trace_run(cfg, 0.9, 0.25, trial)
 
 

@@ -11,9 +11,9 @@ from qsf import qgauss
 from qsf.errors import DivergenceError
 from qsf.optimizer import (
     IterationRecord,
+    OptimizerSettings,
     RunTrace,
     TwoTimescaleConfig,
-    _run_loop,
     fast_timescale_diagnostic,
     project,
     run_gaussian_sf,
@@ -139,6 +139,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_cfg(theta0=np.array([6.0]))  # outside the box
     with pytest.raises(ValueError):
+        OptimizerSettings(theta0=[math.nan, 5.0, 5.0, 5.0])  # NaN fails every comparison
+    with pytest.raises(ValueError):
         TwoTimescaleConfig(
             num_iterations=1, samples_per_iteration=1, q=1.0, beta=0.1,
             box_min=np.array([1.0]), box_max=np.array([0.0]),
@@ -224,14 +226,15 @@ def test_block_start_flag_changes_update():
 
 
 def test_divergence_guard_records_diagnostics():
-    cfg = make_cfg(m=400, ell=5, seed=14, z_guard=1e6)
+    # the costs grow fourfold a step and push Z past the 1e12 band
+    cfg = make_cfg(m=400, ell=5, seed=14)
     with pytest.raises(DivergenceError) as exc_info:
         run_qsf(ExplodingSystem(), cfg)
     err = exc_info.value
     assert 0 <= err.iteration < 400
     assert err.perturbation.shape == (1,)
     assert err.cost > 0.0
-    assert np.max(np.abs(err.z)) > 1e6 or not np.all(np.isfinite(err.z))
+    assert np.max(np.abs(err.z)) > 1e12 or not np.all(np.isfinite(err.z))
 
 
 class NanSystem(ConstantSystem):
@@ -245,13 +248,13 @@ def test_divergence_guard_trips_on_nan_and_reports_last_cost():
     assert exc_info.value.iteration == 0 and math.isnan(exc_info.value.cost)
     system = ExplodingSystem()
     with pytest.raises(DivergenceError) as exc_info:
-        run_qsf(system, make_cfg(m=400, ell=5, seed=14, z_guard=1e6))
+        run_qsf(system, make_cfg(m=400, ell=5, seed=14))
     assert exc_info.value.cost == system.cost
 
 
 def test_fast_timescale_divergence_reports_last_cost():
     system = ExplodingSystem()
-    cfg = make_cfg(m=400, ell=5, seed=14, z_guard=1e6)
+    cfg = make_cfg(m=400, ell=5, seed=14)
     with pytest.raises(DivergenceError) as exc_info:
         fast_timescale_diagnostic(system, np.array([2.0]), cfg)
     assert exc_info.value.cost == system.cost
@@ -260,9 +263,10 @@ def test_fast_timescale_divergence_reports_last_cost():
 
 
 def test_run_without_records_keeps_the_final_point():
+    # the sweep's lanes keep no records
     cfg = make_cfg(q=0.9, m=60, ell=4, seed=17, dim=3)
     full = run_qsf(QuadraticSystem(), cfg)
-    bare = run_qsf(QuadraticSystem(), cfg, keep_records=False)
+    (bare,) = run_lanes([QuadraticSystem()], cfg, [(cfg.q, cfg.beta, cfg.seed)])
     assert bare.records == ()
     assert np.array_equal(bare.final_theta, full.final_theta)
 
@@ -310,7 +314,7 @@ def ndarray_loop(system, cfg, sample_q, weighted, frozen_theta=None):
     dim = theta.shape[0]
     pert_rng = cfg.seed.child("perturbation")
     coef = (1.0 - sample_q) / (3.0 - sample_q)
-    beta, ell, guard = cfg.beta, cfg.samples_per_iteration, cfg.z_guard
+    beta, ell, guard = cfg.beta, cfg.samples_per_iteration, 1e12
     z = np.zeros(dim)
     records = [IterationRecord(0, theta.copy(), z.copy(), math.nan)]
     for n in range(cfg.num_iterations):
@@ -346,6 +350,12 @@ def outcome(run):
     return ("ran", trace.final_theta.tobytes(), trace.final_z.tobytes(), rows)
 
 
+def final_outcome(run):
+    """:func:`outcome` without the records, for runs that keep none."""
+    got = outcome(run)
+    return got[:3] if got[0] == "ran" else got
+
+
 def network_cfg(q, seed, block_start, m=150, ell=3, beta=0.25):
     return TwoTimescaleConfig(
         num_iterations=m, samples_per_iteration=ell, q=q, beta=beta,
@@ -364,7 +374,7 @@ def test_run_loop_matches_ndarray_loop_bitwise(q, block_start):
     for seed, beta in ((31, 0.25), (32, 2.5)):
         cfg = network_cfg(q, seed, block_start, beta=beta)
         want = outcome(lambda: ndarray_loop(fresh_network(seed), cfg, q, True))
-        assert outcome(lambda: _run_loop(fresh_network(seed), cfg)) == want
+        assert outcome(lambda: run_qsf(fresh_network(seed), cfg)) == want
         assert want[0] == "ran" and len(want[3]) == cfg.num_iterations + 1
         # the Gaussian baseline is the unweighted loop at q = 1, whatever cfg.q is
         want = outcome(lambda: ndarray_loop(fresh_network(seed), cfg, 1.0, False))
@@ -373,7 +383,7 @@ def test_run_loop_matches_ndarray_loop_bitwise(q, block_start):
     cfg = make_cfg(q=q, beta=1.5, m=300, ell=2, seed=33, use_block_start_z=block_start,
                    theta0=np.array([0.5]))
     want = outcome(lambda: ndarray_loop(QuadraticSystem(target=4.8), cfg, q, True))
-    assert outcome(lambda: _run_loop(QuadraticSystem(target=4.8), cfg)) == want
+    assert outcome(lambda: run_qsf(QuadraticSystem(target=4.8), cfg)) == want
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
@@ -398,10 +408,10 @@ class InfSystem(ConstantSystem):
                          ids=["nan", "inf", "exploding"])
 @pytest.mark.parametrize("q", [0.5, 1.5])
 def test_guard_trips_as_in_ndarray_loop(make_system, q):
-    cfg = make_cfg(q=q, m=400, ell=5, seed=35, dim=4, z_guard=1e6)
+    cfg = make_cfg(q=q, m=400, ell=5, seed=35, dim=4)
     want = outcome(lambda: ndarray_loop(make_system(), cfg, q, True))
     assert want[0] == "diverged"
-    assert outcome(lambda: _run_loop(make_system(), cfg)) == want
+    assert outcome(lambda: run_qsf(make_system(), cfg)) == want
     frozen = np.full(4, 2.0)
     want = outcome(lambda: ndarray_loop(make_system(), cfg, q, True, frozen_theta=frozen))
     assert outcome(lambda: fast_timescale_diagnostic(make_system(), frozen, cfg)) == want
@@ -507,8 +517,8 @@ def test_a_diverging_lane_is_dropped_and_the_others_keep_their_bits():
     lanes = run_lanes([system(i) for i in range(4)], cfgs[0], [(c.q, c.beta, c.seed) for c in cfgs])
     assert isinstance(lanes[1], DivergenceError)
     for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
-        alone = outcome(lambda: run_qsf(system(i), cfg, keep_records=False))
-        assert outcome(replay(lane)) == alone
+        alone = final_outcome(lambda: run_qsf(system(i), cfg))
+        assert final_outcome(replay(lane)) == alone
         assert alone[0] == ("diverged" if i == 1 else "ran")
     assert lanes[1].iteration == 200 // cfgs[1].samples_per_iteration
 
@@ -516,17 +526,15 @@ def test_a_diverging_lane_is_dropped_and_the_others_keep_their_bits():
 @pytest.mark.parametrize("field,value", [
     ("num_iterations", 500), ("samples_per_iteration", 4), ("box_min", np.full(4, -1.0)),
     ("box_max", np.full(4, 6.0)), ("theta0", np.ones(4)), ("use_block_start_z", True),
-    ("z_guard", 1e6),
 ])
 def test_lanes_must_share_the_loop_settings(field, value):
-    # one settings object and one guard serve every lane: each lane runs
-    # under the changed value exactly as the reference loop does with it.
-    # The second lane's small beta drives Z past 1e6 and theta onto the box,
-    # so every value here changes that lane's outcome.
+    # one settings object serves every lane: each lane runs under the
+    # changed value exactly as the reference loop does with it. The second
+    # lane's small beta drives theta onto the box, so every value here
+    # changes that lane's outcome.
     cfgs = [replace(network_cfg(q, seed, False, m=70, beta=beta), **{field: value})
             for q, seed, beta in ((1.5, 80, 0.25), (0.5, 81, 1e-5))]
     lanes = run_lanes([fresh_network(0), fresh_network(1)], cfgs[0],
-                      [(c.q, c.beta, c.seed) for c in cfgs], z_guard=cfgs[0].z_guard,
-                      keep_records=True)
+                      [(c.q, c.beta, c.seed) for c in cfgs], keep_records=True)
     for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
         assert outcome(replay(lane)) == outcome(lambda: ndarray_loop(fresh_network(i), cfg, cfg.q, True))

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from qsf import oracles, qgauss
-from qsf.errors import ConvergenceError
+from qsf import qgauss
 from qsf.oracles import (
     lambda_q,
-    lambda_q_mc,
     normalizing_constant,
     pdf,
     pdf_batch,
@@ -21,18 +19,14 @@ from qsf.oracles import (
     tsallis_entropy,
 )
 from qsf.qgauss import (
-    BALL,
-    FULL_SPACE,
     QGaussianSpec,
     cutoff_radius,
     max_normalizable_q,
     q_log,
     sample_batch,
     sample_matrix,
-    sample_scalar,
     sample_lanes,
     sample_vector,
-    support,
 )
 from qsf.harness import PAPER_Q_GRID
 from qsf.rng import RngStream
@@ -55,6 +49,11 @@ def oracle_constant(q: float, dim: int) -> float:
 
     r_max = math.sqrt((3.0 - q) / (1.0 - q)) if q < 1.0 else math.inf
     return radial_integral(g, dim, r_max)
+
+
+def escort_weight(z, q: float):
+    """The estimator weight 1 / (1 - (1-q)/(3-q) z^2), per value."""
+    return 1.0 / (1.0 - ((1.0 - q) / (3.0 - q)) * np.asarray(z, dtype=float) ** 2)
 
 
 def oracle_moment(q: float, k: int) -> float:
@@ -99,18 +98,16 @@ def test_q_log_rejects_zero():
 
 
 def test_support_examples():
-    ball = support(QGaussianSpec(0.0, 1.0))
-    assert ball.kind == BALL
-    assert ball.radius == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    assert cutoff_radius(0.0) == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    for q in (1.0, 1.5):  # the support is all of R
+        with pytest.raises(ValueError):
+            cutoff_radius(q)
 
-    assert support(QGaussianSpec(1.5, 1.0)).kind == FULL_SPACE
-    assert support(QGaussianSpec(1.0, 1.0)).kind == FULL_SPACE
-
-    wide = support(QGaussianSpec(0.5, 2.0))
-    assert wide.radius == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-12)
+    radius = cutoff_radius(0.5, 2.0)
+    assert radius == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-12)
     # density vanishes just outside the computed radius
-    assert pdf(wide.radius + 1e-9, QGaussianSpec(0.5, 2.0)) == 0.0
-    assert pdf(wide.radius - 1e-4, QGaussianSpec(0.5, 2.0)) > 0.0
+    assert pdf(radius + 1e-9, QGaussianSpec(0.5, 2.0)) == 0.0
+    assert pdf(radius - 1e-4, QGaussianSpec(0.5, 2.0)) > 0.0
 
 
 def test_spec_validation():
@@ -241,12 +238,6 @@ def test_sampler_determinism():
     assert not np.array_equal(a, c)
 
 
-def test_sample_scalar_is_single_batch_draw():
-    x = sample_scalar(RngStream(5, 17), 0.5)
-    assert isinstance(x, float)
-    assert x == sample_batch(RngStream(5, 17), 0.5, 1)[0]
-
-
 class ScriptedUniforms:
     """Stand-in stream whose random_array calls return the given arrays in turn."""
 
@@ -339,18 +330,6 @@ def test_sample_batch_memory_peak():
         assert peak <= 2.3 * n * 8, (q, peak / (n * 8))
 
 
-def test_q_expectation_mc_signals_nonconvergence():
-    # an absurd tolerance must be reported as failure, not silently returned
-    with pytest.raises(ConvergenceError):
-        q_expectation(
-            lambda v: float(v @ v) ** 3,
-            QGaussianSpec(0.5, dim=3),
-            rng=RngStream(404),
-            num_samples=2000,
-            mc_tol=1e-8,
-        )
-
-
 def test_sample_vector_matches_batch_distribution():
     rng = RngStream(7)
     v = sample_vector(rng, 0.5, 6)
@@ -394,7 +373,7 @@ def test_sampler_ordinary_variance_heavy_tail():
 @pytest.mark.parametrize("q", [0.5, 1.5, 2.0])
 def test_sampler_escort_moments(q):
     z = sample_batch(RngStream(101, int(10 * q)), q, 300000)
-    w = oracles.escort_weight_batch(z, q)
+    w = escort_weight(z, q)
     mean_q = float(np.sum(z * w) / np.sum(w))
     second_q = float(np.sum(z * z * w) / np.sum(w))
     se_mean = np.std(z * w) / np.sum(w) * math.sqrt(len(z))  # rough scale
@@ -618,17 +597,7 @@ def test_q_expectation_dim2():
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
-def test_q_expectation_mc_path():
-    val = q_expectation(
-        lambda v: float(v @ v),
-        QGaussianSpec(0.5, dim=3),
-        rng=RngStream(202),
-        num_samples=400000,
-    )
-    assert val == pytest.approx(3.0, rel=0.02)
-
-
-def test_q_expectation_mc_requires_rng():
+def test_q_expectation_refuses_dim_three():
     with pytest.raises(ValueError):
         q_expectation(lambda v: 1.0, QGaussianSpec(0.5, dim=3))
 
@@ -677,5 +646,7 @@ def test_lambda_q_rejects_nonintegrable_dim():
 
 @pytest.mark.parametrize("q", [0.5, 1.5, 2.0, 2.5])
 def test_lambda_q_mc_agrees_with_quadrature(q):
-    est, se = lambda_q_mc(q, RngStream(303, int(10 * q)), num_samples=300000)
+    # Lambda_q is the mean weight of the sampler's draws in dim 1
+    w = escort_weight(sample_batch(RngStream(303, int(10 * q)), q, 300000), q)
+    est, se = float(np.mean(w)), float(np.std(w) / math.sqrt(len(w)))
     assert abs(est - lambda_q(q, 1)) < 3.0 * se

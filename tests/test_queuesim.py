@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qsf.queuesim import QueueNetwork, QueueNetworkConfig, service_time
+from qsf.queuesim import QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream
 
 
@@ -24,31 +24,31 @@ def make_net(seed=1, theta=None, **cfg_kw):
 
 
 def test_service_time_examples():
-    ones = np.ones(2)
-    assert service_time(0.5, ones, ones, 10.0) == pytest.approx(0.05, rel=1e-15)
+    # a service takes u * scale for its node's uniform u, with the scale
+    # (1 + |theta_i - target_i|^2) / R_i
+    net = make_net(seed=3, theta=np.ones(4))
+    assert 0.5 * net._scale1 == pytest.approx(0.05, rel=1e-15)
+    assert 0.5 * net._scale2 == pytest.approx(0.025, rel=1e-15)
     # |theta - target|^2 = 32 at the benchmark start point
-    assert service_time(0.5, np.full(2, 5.0), ones, 10.0) == pytest.approx(1.65, rel=1e-12)
+    net.set_parameter(np.full(4, 5.0))
+    assert 0.5 * net._scale1 == pytest.approx(1.65, rel=1e-12)
     # supremum as u -> 1
+    net.set_parameter(np.ones(4))
     near_one = math.nextafter(1.0, 0.0)
-    assert service_time(near_one, ones, ones, 20.0) < 0.05
-    assert service_time(near_one, ones, ones, 20.0) == pytest.approx(0.05, rel=1e-9)
+    assert near_one * net._scale2 < 0.05
+    assert near_one * net._scale2 == pytest.approx(0.05, rel=1e-9)
 
 
 @given(u=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
        gap=st.floats(min_value=-4.0, max_value=4.0))
 @settings(max_examples=50, deadline=None)
 def test_service_time_positive_and_monotone_in_distance(u, gap):
-    base = service_time(u, np.array([1.0]), np.array([1.0]), 10.0)
-    shifted = service_time(u, np.array([1.0 + gap]), np.array([1.0]), 10.0)
+    net = make_net(seed=4, theta=np.ones(4))
+    base = u * net._scale1
+    net.set_parameter(np.array([1.0 + gap, 1.0, 1.0, 1.0]))
+    shifted = u * net._scale1
     assert base > 0.0
     assert shifted >= base
-
-
-def test_service_time_rejects_bad_uniform():
-    with pytest.raises(ValueError):
-        service_time(0.0, np.ones(2), np.ones(2), 10.0)
-    with pytest.raises(ValueError):
-        service_time(1.0, np.ones(2), np.ones(2), 10.0)
 
 
 def test_empirical_service_mean():
@@ -69,7 +69,7 @@ def test_reset_empties_system():
     for _ in range(50):
         net.step()
     net.reset()
-    assert net.in_system == 0
+    assert net.queue1 == net.queue2 == 0
     assert net.clock == 0.0
     st0 = net.state
     assert st0.next_completion1 is None and st0.next_completion2 is None
@@ -86,10 +86,11 @@ def test_first_arrival_mean_matches_rate():
 
 
 def test_inter_arrival_times_exponential():
-    net = QueueNetwork(QueueNetworkConfig(), RngStream(9), record_events=True)
+    cfg = QueueNetworkConfig()
+    net, ref = QueueNetwork(cfg, RngStream(9)), ReferenceNetwork(cfg, RngStream(9))
     for _ in range(200_000):
-        net.step()
-    arr1_clocks = [e[0] for e in net.event_trace if e[1] == "arr1"]
+        assert step_and_state(net) == step_and_state(ref)
+    arr1_clocks = [e[0] for e in ref.trace if e[1] == "arr1"]
     gaps = np.diff(arr1_clocks)
     assert len(gaps) > 5000
     assert np.mean(gaps) == pytest.approx(5.0, rel=0.02)
@@ -114,12 +115,15 @@ def test_parameter_changes_do_not_shift_arrivals():
     # arrival times live on their own streams: perturbing theta mid-run must
     # leave the external arrival clock sequence untouched
     def arrival_clocks(perturb):
-        net = QueueNetwork(QueueNetworkConfig(), RngStream(7), record_events=True)
+        cfg = QueueNetworkConfig()
+        net, ref = QueueNetwork(cfg, RngStream(7)), ReferenceNetwork(cfg, RngStream(7))
         for k in range(5000):
             if perturb and k % 50 == 0:
-                net.set_parameter(np.array([5.0, 0.3, 2.0, 4.0]) * ((k % 100) / 99 + 0.5))
-            net.step()
-        return [e[0] for e in net.event_trace if e[1] in ("arr1", "arr2")][:400]
+                theta = np.array([5.0, 0.3, 2.0, 4.0]) * ((k % 100) / 99 + 0.5)
+                net.set_parameter(theta)
+                ref.set_parameter(theta)
+            assert step_and_state(net) == step_and_state(ref)
+        return [e[0] for e in ref.trace if e[1] in ("arr1", "arr2")][:400]
 
     assert arrival_clocks(False) == arrival_clocks(True)
 
@@ -131,7 +135,7 @@ def test_parameter_changes_do_not_shift_arrivals():
 def test_empty_system_first_event_cost_one():
     net = make_net(seed=8)
     assert net.step() == 1.0
-    assert net.in_system == 1
+    assert net.queue1 + net.queue2 == 1
 
 
 def test_routing_fraction():
@@ -161,7 +165,7 @@ def test_conservation_and_clock_monotonicity(seed):
         assert net.clock >= prev
         prev = net.clock
         assert net.queue1 >= 0 and net.queue2 >= 0
-        assert net.external_arrivals - net.exits == net.in_system
+        assert net.external_arrivals - net.exits == net.queue1 + net.queue2
         snap = net.state
         assert snap.next_arrival1 >= snap.clock and snap.next_arrival2 >= snap.clock
         assert (snap.next_completion1 is not None) == (snap.queue1 > 0)
@@ -176,7 +180,7 @@ def test_unstable_start_point_drifts():
     for _ in range(10):
         for _ in range(100_000):
             net.step()
-        counts.append(net.in_system)
+        counts.append(net.queue1 + net.queue2)
     assert counts[-1] > 5000
     assert counts[-1] > counts[4] > counts[0]
     growth = np.diff(counts)
@@ -280,7 +284,10 @@ def test_in_progress_service_unaffected():
 
 
 class ReferenceNetwork:
-    """The feedback network drawn with one RngStream.random() per uniform."""
+    """The feedback network drawn with one RngStream.random() per uniform.
+
+    It keeps its own event list, one (clock, kind, node, q1, q2, cost) row
+    per step."""
 
     def __init__(self, config, rng):
         self.cfg = config
@@ -335,32 +342,37 @@ class ReferenceNetwork:
                          + max(self.q2 - (self.tc2 != math.inf), 0))
         name = ("svc1", "svc2", "arr1", "arr2")[ev]
         self.trace.append((t, name, 1 + ev % 2, self.q1, self.q2, cost))
+        self.clock, self.queue1, self.queue2 = t, self.q1, self.q2
         return cost
+
+
+def step_and_state(net):
+    """One step of a QueueNetwork or a ReferenceNetwork, as (clock, queue1,
+    queue2, cost) after it."""
+    cost = net.step()
+    return net.clock, net.queue1, net.queue2, cost
 
 
 @pytest.mark.parametrize("count_in_service", [True, False])
 def test_lookahead_lists_match_one_draw_per_call(count_in_service):
     cfg = QueueNetworkConfig(count_in_service=count_in_service)
-    net = QueueNetwork(cfg, RngStream(21), record_events=True)
+    net = QueueNetwork(cfg, RngStream(21))
     ref = ReferenceNetwork(cfg, RngStream(21))
     thetas = np.random.default_rng(0).uniform(-1.0, 6.0, size=(100, 4))
-    costs, ref_costs, trace = [], [], []
+    steps, ref_steps = [], []
     # 100 blocks of 500 events: every stream refills its 512-draw list several times
     for block, theta in enumerate(thetas):
         if block in (33, 67):
-            trace += net.event_trace
             net.reset()
             ref.reset()
         net.set_parameter(theta)
         ref.set_parameter(theta)
-        costs += [net.step() for _ in range(500)]
-        ref_costs += [ref.step() for _ in range(500)]
-    trace += net.event_trace
-    assert costs == ref_costs
-    assert trace == ref.trace
+        steps += [step_and_state(net) for _ in range(500)]
+        ref_steps += [step_and_state(ref) for _ in range(500)]
+    assert steps == ref_steps
     # each event of a kind took at least one draw from its stream, and more
     # than 2032 draws take at least four refills of 512
-    assert min(Counter(e[1] for e in trace).values()) > 2032
+    assert min(Counter(e[1] for e in ref.trace).values()) > 2032
 
 
 class ZeroHeads(RngStream):
@@ -379,28 +391,30 @@ class ZeroHeads(RngStream):
 @pytest.mark.parametrize("count_in_service", [True, False])
 def test_lookahead_arrays_skip_exact_zeros_as_random_does(count_in_service):
     cfg = QueueNetworkConfig(count_in_service=count_in_service)
-    net = QueueNetwork(cfg, ZeroHeads(23), record_events=True)
+    net = QueueNetwork(cfg, ZeroHeads(23))
     ref = ReferenceNetwork(cfg, ZeroHeads(23))
     assert all(isinstance(ahead, array) and ahead.typecode == "d" for ahead in net._ahead)
-    costs, ref_costs = [], []
+    steps, ref_steps = [], []
     for theta in np.random.default_rng(1).uniform(-1.0, 6.0, size=(12, 4)):
         net.set_parameter(theta)
         ref.set_parameter(theta)
-        costs += [net.step() for _ in range(500)]
-        ref_costs += [ref.step() for _ in range(500)]
-    assert costs == ref_costs
-    assert net.event_trace == ref.trace
+        steps += [step_and_state(net) for _ in range(500)]
+        ref_steps += [step_and_state(ref) for _ in range(500)]
+    assert steps == ref_steps
     # each kind of event drew from its stream past the scripted head
     assert min(Counter(e[1] for e in ref.trace).values()) > len(ZeroHeads.HEAD)
 
 
 # ---------------------------------------------------------------------------
-# config and trace output
+# config
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         QueueNetworkConfig(lambda1=0.0)
+    for key in ("lambda1", "lambda2", "R1", "R2"):  # NaN fails every comparison
+        with pytest.raises(ValueError):
+            QueueNetworkConfig(**{key: math.nan})
     with pytest.raises(ValueError):
         QueueNetworkConfig(p_exit=1.0)
     with pytest.raises(ValueError):
@@ -420,24 +434,3 @@ def test_count_in_service_flag():
     assert all(b <= a for a, b in zip(c1, c2))
     assert any(b < a for a, b in zip(c1, c2))
 
-
-def test_event_trace_dump(tmp_path):
-    net = QueueNetwork(QueueNetworkConfig(), RngStream(19), record_events=True)
-    for _ in range(100):
-        net.step()
-    out = tmp_path / "events.csv"
-    net.write_event_trace(out)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "clock,event_type,node,q1,q2,cost"
-    assert len(lines) == 101
-    clock, name, node, q1, q2, cost = lines[1].split(",")
-    assert float(clock) > 0.0
-    assert name in ("arr1", "arr2", "svc1", "svc2")
-    assert int(node) in (1, 2)
-    assert float(cost) == float(q1) + float(q2)
-
-
-def test_event_trace_requires_flag():
-    net = make_net(seed=20)
-    with pytest.raises(ValueError):
-        net.write_event_trace("/tmp/nope.csv")

@@ -3,10 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qsf.errors import ConvergenceError, QuadratureError, SupportBoundaryError
+from qsf.errors import ConvergenceError, QuadratureError
 from qsf.oracles import (
     KernelPropertyReport,
     escort_identity_check,
@@ -17,75 +15,17 @@ from qsf.oracles import (
 )
 from qsf.qgauss import ARRAY_BLOCK, QGaussianSpec, sample_matrix
 from qsf.rng import RngStream
-from qsf.sfgrad import GradEstimatorConfig, estimate_gradient, sf_weight, smoothed_value
+from qsf.sfgrad import GradEstimatorConfig, estimate_gradient
 
 BETAS = (0.5, 0.1, 0.02)
-
-
-# ---------------------------------------------------------------------------
-# sf_weight
-
-
-def test_weight_at_origin_is_one():
-    for q in (0.0, 0.5, 1.0, 2.0, 2.9):
-        assert sf_weight(np.zeros(3), q) == 1.0
-
-
-@given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=5))
-@settings(max_examples=40, deadline=None)
-def test_weight_is_exactly_one_at_q1(eta):
-    assert sf_weight(np.array(eta), 1.0) == 1.0
-
-
-def test_weight_heavy_tail_example():
-    # q=2 flips the sign of (1-q), so the denominator is 1 + |eta|^2
-    assert sf_weight(np.array([1.0]), 2.0) == pytest.approx(0.5, rel=1e-15)
-    assert sf_weight(np.array([0.6, 0.8]), 2.0) == pytest.approx(0.5, rel=1e-15)
-
-
-def test_weight_boundary_overflow():
-    limit = math.sqrt((3.0 - 0.5) / (1.0 - 0.5))
-    with pytest.raises(SupportBoundaryError):
-        sf_weight(np.array([limit]), 0.5)
-    with pytest.raises(SupportBoundaryError):
-        sf_weight(np.array([limit + 1.0]), 0.5)
-    assert sf_weight(np.array([0.9 * limit]), 0.5) > 1.0
-
-
-# ---------------------------------------------------------------------------
-# smoothed values
-
-
-def test_smoothed_constant_is_exact():
-    val = smoothed_value(lambda x: 4.25, np.zeros(2), 1.5, 0.3, 500, RngStream(1))
-    assert val == 4.25
-
-
-def test_smoothed_quadratic_gaussian():
-    # E[(theta - beta z)^2] at theta=0 is beta^2 E[z^2] = 0.01 for q=1
-    val = smoothed_value(
-        lambda x: float(x[0] ** 2), np.zeros(1), 1.0, 0.1, 400_000, RngStream(2),
-        vectorized=False,
-    )
-    assert val == pytest.approx(0.01, rel=0.02)
-
-
-def test_smoothed_linear_is_unbiased():
-    for q in (0.5, 1.5):
-        val = smoothed_value(
-            lambda pts: pts[:, 0], np.array([2.0]), q, 0.4, 200_000,
-            RngStream(3, int(q * 2)), vectorized=True,
-        )
-        assert val == pytest.approx(2.0, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
 # gradient estimator
 
 
-def _cfg(q, beta, dim=1, m=200_000, ell=1):
-    return GradEstimatorConfig(q=q, beta=beta, dim=dim,
-                               num_perturbations=m, samples_per_perturbation=ell)
+def _cfg(q, beta, dim=1, m=200_000):
+    return GradEstimatorConfig(q=q, beta=beta, dim=dim, num_perturbations=m)
 
 
 def test_estimator_constant_function_centers_on_zero():
@@ -127,19 +67,6 @@ def test_estimator_vectorized_matches_loop():
     assert np.array_equal(a.stderr, b.stderr)
 
 
-def test_estimator_inner_averaging_of_deterministic_oracle():
-    # for a deterministic cost, averaging L observations changes nothing
-    one = estimate_gradient(
-        lambda p: float(p[0] ** 2), np.array([1.0]), _cfg(1.2, 0.1, m=256, ell=1),
-        RngStream(15),
-    )
-    five = estimate_gradient(
-        lambda p: float(p[0] ** 2), np.array([1.0]), _cfg(1.2, 0.1, m=256, ell=5),
-        RngStream(15),
-    )
-    assert np.allclose(one.value, five.value, rtol=1e-15)
-
-
 def test_estimator_q1_reduces_to_unweighted_gaussian_form():
     # with q=1 the weight is exactly 1, so the estimate must equal the plain
     # Gaussian-perturbation form computed by hand on the same stream
@@ -158,19 +85,16 @@ def test_estimator_q1_reduces_to_unweighted_gaussian_form():
 def reference_estimate_gradient(f, theta, cfg, rng, vectorized):
     """The estimator as whole-array steps: weights, points and terms each
     built on all M rows at once, then summed in Kahan-compensated blocks."""
-    m, ell = cfg.num_perturbations, cfg.samples_per_perturbation
+    m = cfg.num_perturbations
     zs = sample_matrix(rng, cfg.q, m, cfg.dim)
     weights = 1.0 / (1.0 - ((1.0 - cfg.q) / (3.0 - cfg.q)) * np.einsum("ij,ij->i", zs, zs))
     pts = theta[None, :] + cfg.beta * zs
     if vectorized:
-        fv = np.zeros(m)
-        for _ in range(ell):
-            fv += np.asarray(f(pts), dtype=float)
-        fv /= ell
+        fv = np.asarray(f(pts), dtype=float)
     else:
         fv = np.empty(m)
         for i, p in enumerate(pts):
-            fv[i] = sum(f(p) for _ in range(ell)) / ell
+            fv[i] = f(p)
     terms = zs * (fv * weights / cfg.beta)[:, None]
     total, comp = np.zeros(cfg.dim), np.zeros(cfg.dim)
     for start in range(0, m, 65536):
@@ -193,13 +117,13 @@ def noisy_quadratic(seed, vectorized):
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
-@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.2])
-def test_blocked_estimator_equals_whole_array_reference(q, ell, vectorized):
+def test_blocked_estimator_equals_whole_array_reference(q, dim, vectorized):
     # three 65,536-row blocks and a partial fourth
-    cfg = _cfg(q, 0.3, dim=3, m=3 * ARRAY_BLOCK + 123, ell=ell)
-    theta = np.array([0.4, -1.1, 2.0])
-    sid = int(10 * q) + 100 * ell
+    cfg = _cfg(q, 0.3, dim=dim, m=3 * ARRAY_BLOCK + 123)
+    theta = np.array([0.4, -1.1, 2.0])[:dim]
+    sid = int(10 * q) + 100 * dim
     est = estimate_gradient(noisy_quadratic(17, vectorized), theta, cfg, RngStream(18, sid),
                             vectorized=vectorized)
     value, stderr = reference_estimate_gradient(noisy_quadratic(17, vectorized), theta, cfg,
@@ -210,8 +134,9 @@ def test_blocked_estimator_equals_whole_array_reference(q, ell, vectorized):
 
 def test_estimator_memory_peak():
     # tracemalloc sees NumPy's buffers: at its peak the estimate holds the
-    # perturbations, the points, the mean costs and one output of f, which
-    # is 2.5 times the perturbations in dim 4, whatever the allocator does
+    # perturbations, the points and the costs, the one output of f, which
+    # is 2.25 times the perturbations in dim 4, whatever the allocator does,
+    # plus one block's temporaries
     m, dim = 2**18, 4
     size = m * dim * 8
     f = lambda pts: np.einsum("ij,ij->i", pts, pts)
@@ -223,23 +148,7 @@ def test_estimator_memory_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.6 * size, (q, peak / size)
-
-
-def test_single_sample_symmetry():
-    # constant cost: negating the perturbation negates the term exactly;
-    # linear cost: the pair-sum isolates the even (gradient) part exactly
-    q, beta = 1.5, 0.2
-    g = np.array([2.0, -1.0])
-    z = np.array([0.31, -1.27])
-    w = sf_weight(z, q)
-    const_term = lambda s: s * (5.0 * w / beta)
-    assert np.array_equal(const_term(z), -const_term(-z))
-    lin = lambda p: 5.0 + float(g @ p)
-    theta = np.array([0.4, 0.9])
-    term = lambda zz: zz * (lin(theta + beta * zz) * sf_weight(zz, q) / beta)
-    pair_sum = term(z) + term(-z)
-    assert np.allclose(pair_sum, 2.0 * z * float(g @ z) * w, rtol=1e-12)
+        assert peak <= 2.4 * size, (q, peak / size)
 
 
 # ---------------------------------------------------------------------------
