@@ -7,7 +7,8 @@
     qsf summarize <results-dir>
 
 Exit status is 1 when a requested self-check fails and 2 when an argument
-or the config is invalid, reported as ``error: ...``.
+or the config is invalid or a file cannot be read or written, reported as
+``error: ...``.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QsfError, ValueError) as exc:  # ValueError: an argument out of range
+    except (QsfError, ValueError, OSError) as exc:  # an argument out of range, a path that fails
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .optimizer import OptimizerSettings, RunTrace, TwoTimescaleConfig, run_lanes, run_qsf
+from .qgauss import QGaussianSpec
 from .queuesim import QueueNetwork, QueueNetworkConfig
 from .rng import RngStream
 
@@ -60,10 +61,14 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
         object.__setattr__(self, "beta_values", tuple(float(b) for b in self.beta_values))
-        if not all(q < 3.0 for q in self.q_values):  # also rejects NaN
-            raise ConfigError("q_values must all be < 3")
-        if not all(b > 0.0 for b in self.beta_values):
-            raise ConfigError("beta_values must all be > 0")
+        # each grid value is checked by a kernel spec; q = 1 stands in beside a beta
+        kernels = [("q_values", i, (q,)) for i, q in enumerate(self.q_values)]
+        kernels += [("beta_values", i, (1.0, b)) for i, b in enumerate(self.beta_values)]
+        for name, i, kernel in kernels:
+            try:
+                QGaussianSpec(*kernel)
+            except ValueError as exc:
+                raise ConfigError(f"{name}[{i}]: {exc}") from exc
         for name in ("q_values", "beta_values"):
             values = getattr(self, name)
             if not values or len(set(values)) < len(values):  # 0.0 == -0.0 counts as a repeat
@@ -199,6 +204,8 @@ def run_single_trial(cfg: ExperimentConfig, q_index: int, beta_index: int, trial
 
 def run_experiment(cfg: ExperimentConfig, *, workers: int = 1) -> SweepResult:
     """Execute the full sweep grid; outputs are independent of worker count."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [
         (qi, bi, trial, derive_cell_stream(cfg.base_seed, qi, bi, trial))
         for qi in range(len(cfg.q_values))
@@ -311,13 +318,10 @@ def summarize(result: SweepResult, output_dir=None) -> list:
 def emit_trace(trace: RunTrace, path, target: np.ndarray) -> None:
     """Distance-to-target curve, one row per outer iteration (plot-ready)."""
     dists = trace.distances(target)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("n,distance_to_target\n")
-            for rec, d in zip(trace.records, dists):
-                fh.write(f"{rec.n},{float(d)!r}\n")
-    except OSError as exc:
-        raise OSError(f"could not write trace to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("n,distance_to_target\n")
+        for rec, d in zip(trace.records, dists):
+            fh.write(f"{rec.n},{float(d)!r}\n")
 
 
 def write_full_trace(trace: RunTrace, path, target: np.ndarray) -> None:

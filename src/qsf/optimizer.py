@@ -14,7 +14,8 @@ never reset between blocks: the recursion rides a single trajectory.
 The loop rules live in :class:`OptimizerSettings`: M and L, the feasible
 box and theta0, which every run of a sweep shares. A run adds only its
 kernel (q, beta) and its seed; :class:`TwoTimescaleConfig` is the settings
-of one run, and checks only q and beta beyond them.
+of one run, and checks q and beta by building a
+:class:`qsf.qgauss.QGaussianSpec`.
 
 The recursion is one lane loop, :func:`run_lanes`. K runs of one settings
 object advance block by block together, each with its own (q, beta, seed),
@@ -52,7 +53,7 @@ import numpy as np
 from .errors import DivergenceError
 # sample_vector stays importable from here: perfbench's tracer patches it in
 # every module that imported it by name.
-from .qgauss import sample_lanes, sample_vector  # noqa: F401
+from .qgauss import QGaussianSpec, sample_lanes, sample_vector  # noqa: F401
 from .rng import RngStream
 
 # A lane whose tracker has a component beyond this band, or a non-finite
@@ -122,10 +123,7 @@ class TwoTimescaleConfig(OptimizerSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.q < 3.0:
-            raise ValueError(f"q must be < 3 (got {self.q})")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0 (got {self.beta})")
+        QGaussianSpec(self.q, self.beta)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate, interpolate, special, stats
 
 from .errors import QuadratureError
-from .qgauss import QGaussianSpec, cutoff_radius, max_normalizable_q, sample_batch
+from .qgauss import QGaussianSpec, check_size, cutoff_radius, max_normalizable_q, sample_batch
 from .rng import RngStream
 
 ABS_TOL = 1e-10
@@ -126,11 +126,7 @@ def normalizing_constant(q: float, dim: int) -> float:
         1 < q < 3:  (pi (3-q)/(q-1))^(N/2) * G(a-N/2) / G(a),      a = 1/(q-1)
     The heavy-tail branch exists only for q < 1 + 2/N.
     """
-    if not q < 3.0:
-        raise ValueError(f"no normalizing constant for q >= 3 (got q={q})")
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1 (got {dim})")
+    QGaussianSpec(q, dim=dim)
     if q == 1.0:
         return (2.0 * math.pi) ** (dim / 2.0)
     if q < 1.0:
@@ -138,11 +134,6 @@ def normalizing_constant(q: float, dim: int) -> float:
         log_k = 0.5 * dim * math.log(math.pi * (3.0 - q) / (1.0 - q))
         log_k += special.gammaln(a + 1.0) - special.gammaln(a + 1.0 + dim / 2.0)
         return float(math.exp(log_k))
-    if q >= max_normalizable_q(dim):
-        raise ValueError(
-            f"the {dim}-variate density is integrable only for q < 1 + 2/{dim}"
-            f" = {max_normalizable_q(dim):g} (got q={q})"
-        )
     a = 1.0 / (q - 1.0)
     log_k = 0.5 * dim * math.log(math.pi * (3.0 - q) / (q - 1.0))
     log_k += special.gammaln(a - dim / 2.0) - special.gammaln(a)
@@ -159,7 +150,7 @@ def pdf(x, spec: QGaussianSpec) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (spec.dim,):
         raise ValueError(f"point must have shape ({spec.dim},), got {x.shape}")
-    r2 = float(np.sum((x - spec.mu) ** 2))
+    r2 = float(np.sum(x**2))
     q, beta, n = spec.q, spec.beta, spec.dim
     if q == 1.0:
         return math.exp(-r2 / (2.0 * beta * beta)) / (2.0 * math.pi * beta * beta) ** (n / 2.0)
@@ -179,7 +170,7 @@ def pdf_batch(xs: np.ndarray, spec: QGaussianSpec) -> np.ndarray:
         raise ValueError("pdf_batch supports dim=1 only")
     xs = np.asarray(xs, dtype=float)
     q, beta = spec.q, spec.beta
-    d2 = (xs - spec.mu[0]) ** 2
+    d2 = xs**2
     if q == 1.0:
         return np.exp(-d2 / (2.0 * beta * beta)) / math.sqrt(2.0 * math.pi * beta * beta)
     br = _bracket(d2, q, beta)
@@ -192,33 +183,22 @@ def pdf_batch(xs: np.ndarray, spec: QGaussianSpec) -> np.ndarray:
     return np.exp(np.log(br) / (1.0 - q)) / (beta * k)
 
 
-def _support_bounds(spec: QGaussianSpec) -> tuple[float, float]:
-    if spec.q < 1.0:
-        r = cutoff_radius(spec.q, spec.beta)
-        return spec.mu[0] - r, spec.mu[0] + r
-    return -math.inf, math.inf
-
-
 def q_expectation(f: Callable, spec: QGaussianSpec) -> float:
     """Expectation of f under the escort density p^q / int p^q, by adaptive
     quadrature: f takes a scalar for dim=1, a length-2 vector for dim=2."""
+    r = spec.radius
     if spec.dim == 1:
-        lo, hi = _support_bounds(spec)
         power = lambda x: pdf(x, spec) ** spec.q
-        num = quad_checked(lambda x: f(x) * power(x), lo, hi)
-        den = quad_checked(power, lo, hi)
+        num = quad_checked(lambda x: f(x) * power(x), -r, r)
+        den = quad_checked(power, -r, r)
         return num / den
     if spec.dim == 2:
-        if spec.q > 1.0 and spec.q >= max_normalizable_q(2):
-            raise ValueError("2-variate density requires q < 2")
-        lo0, hi0 = _support_bounds(QGaussianSpec(spec.q, spec.beta, 1, spec.mu[:1]))
-        lo1, hi1 = _support_bounds(QGaussianSpec(spec.q, spec.beta, 1, spec.mu[1:]))
         power = lambda y, x: pdf(np.array([x, y]), spec) ** spec.q
         num, _ = integrate.dblquad(
-            lambda y, x: f(np.array([x, y])) * power(y, x), lo0, hi0, lo1, hi1,
+            lambda y, x: f(np.array([x, y])) * power(y, x), -r, r, -r, r,
             epsabs=1e-10, epsrel=1e-8,
         )
-        den, _ = integrate.dblquad(power, lo0, hi0, lo1, hi1, epsabs=1e-10, epsrel=1e-8)
+        den, _ = integrate.dblquad(power, -r, r, -r, r, epsabs=1e-10, epsrel=1e-8)
         return num / den
     raise ValueError("q_expectation supports dim <= 2")
 
@@ -229,19 +209,14 @@ def tsallis_entropy(spec: QGaussianSpec) -> float:
         raise ValueError("entropy quadrature supports dim <= 2")
     n = spec.dim
     if spec.q == 1.0:
-        center = QGaussianSpec(1.0, spec.beta, n, np.zeros(n))
 
         def integrand(r):
-            p = pdf(np.concatenate([[r], np.zeros(n - 1)]), center)
+            p = pdf(np.concatenate([[r], np.zeros(n - 1)]), spec)
             return -p * math.log(p) if p > 0.0 else 0.0
 
         return radial_integral(integrand, n, math.inf)
-    if spec.q > 1.0 and spec.q >= max_normalizable_q(n):
-        raise ValueError(f"{n}-variate density requires q < {max_normalizable_q(n):g}")
-    center = QGaussianSpec(spec.q, spec.beta, n, np.zeros(n))
-    r_max = cutoff_radius(spec.q, spec.beta) if spec.q < 1.0 else math.inf
     mass_q = radial_integral(
-        lambda r: pdf(np.concatenate([[r], np.zeros(n - 1)]), center) ** spec.q, n, r_max
+        lambda r: pdf(np.concatenate([[r], np.zeros(n - 1)]), spec) ** spec.q, n, spec.radius
     )
     return (1.0 - mass_q) / (spec.q - 1.0)
 
@@ -255,14 +230,13 @@ def lambda_q(q: float, dim: int = 1) -> float:
     if q == 1.0:
         return 1.0
     k = normalizing_constant(q, dim)  # validates integrability for this dim
-    r_max = cutoff_radius(q) if q < 1.0 else math.inf
     expo = 1.0 / (1.0 - q) - 1.0
 
     def integrand(r):
         br = _bracket(r * r, q, 1.0)
         return math.exp(expo * math.log(br)) if br > 0.0 else 0.0
 
-    return radial_integral(integrand, dim, r_max) / k
+    return radial_integral(integrand, dim, QGaussianSpec(q).radius) / k
 
 
 def quadrature_cdf(spec: QGaussianSpec, *, panels: int = 4096) -> Callable[[np.ndarray], np.ndarray]:
@@ -275,16 +249,14 @@ def quadrature_cdf(spec: QGaussianSpec, *, panels: int = 4096) -> Callable[[np.n
     """
     if spec.dim != 1:
         raise ValueError("quadrature_cdf supports dim=1 only")
-    q = spec.q
-    if q < 1.0:
-        lo, hi = _support_bounds(spec)
-        grid = np.linspace(lo, hi, panels + 1)
+    if spec.q < 1.0:
+        grid = np.linspace(-spec.radius, spec.radius, panels + 1)
         left_tail = 0.0
     else:
         def two_sided_tail(t: float) -> float:
             # y = 1/x substitution keeps the improper integral on a finite interval
             val = quad_checked(
-                lambda y: pdf(spec.mu[0] + 1.0 / y, spec) / (y * y), 1e-300, 1.0 / t,
+                lambda y: pdf(1.0 / y, spec) / (y * y), 1e-300, 1.0 / t,
                 atol=1e-14, rtol=1e-10,
             )
             return 2.0 * val
@@ -293,7 +265,7 @@ def quadrature_cdf(spec: QGaussianSpec, *, panels: int = 4096) -> Callable[[np.n
         while two_sided_tail(t) > 1e-9:
             t *= 4.0
         a = math.asinh(t / spec.beta)
-        grid = spec.mu[0] + spec.beta * np.sinh(np.linspace(-a, a, panels + 1))
+        grid = spec.beta * np.sinh(np.linspace(-a, a, panels + 1))
         left_tail = two_sided_tail(t) / 2.0
 
     cdf_vals = left_tail + panel_cumulative(lambda x: pdf_batch(x, spec), grid)
@@ -369,14 +341,13 @@ def smoothed_gradient_1d(f: Callable[[float], float], theta: float, q: float, be
     (3-q)/2 times this value.
     """
     spec = QGaussianSpec(q)
-    r_max = cutoff_radius(q) if q < 1.0 else math.inf
     coef = (1.0 - q) / (3.0 - q)
 
     def integrand(z):
         w = 1.0 / (1.0 - coef * z * z)
         return z * (f(theta + beta * z) - f(theta - beta * z)) * w * pdf(z, spec)
 
-    val = quad_checked(integrand, 0.0, r_max, atol=1e-12, rtol=1e-9)
+    val = quad_checked(integrand, 0.0, spec.radius, atol=1e-12, rtol=1e-9)
     return 2.0 / (beta * (3.0 - q)) * val
 
 
@@ -392,6 +363,7 @@ def escort_identity_check(f: Callable, q: float, dim: int = 1) -> tuple[float, f
     spec = QGaussianSpec(q, dim=dim)
     lam = lambda_q(q, dim)
     coef = (1.0 - q) / (3.0 - q)
+    r = spec.radius
     if dim == 1:
         if q >= 1.0:
             escort_num = lambda x: f(x) * pdf(x, spec) ** q
@@ -402,14 +374,13 @@ def escort_identity_check(f: Callable, q: float, dim: int = 1) -> tuple[float, f
                         "integrand has non-integrable tails for this (f, q) pair"
                     )
         lhs = q_expectation(f, spec)
-        r_max = cutoff_radius(q) if q < 1.0 else math.inf
 
         def weighted(z):
             w = 1.0 / (1.0 - coef * z * z)
             return f(z) * w * pdf(z, spec)
 
-        halves = quad_checked(weighted, 0.0, r_max, atol=1e-12, rtol=1e-9) + quad_checked(
-            lambda z: weighted(-z), 0.0, r_max, atol=1e-12, rtol=1e-9
+        halves = quad_checked(weighted, 0.0, r, atol=1e-12, rtol=1e-9) + quad_checked(
+            lambda z: weighted(-z), 0.0, r, atol=1e-12, rtol=1e-9
         )
         return lhs, halves / lam
     # dim == 2: plain (non-radial) double quadrature for generic f
@@ -420,8 +391,7 @@ def escort_identity_check(f: Callable, q: float, dim: int = 1) -> tuple[float, f
         w = 1.0 / (1.0 - coef * (x * x + y * y))
         return f(v) * w * pdf(v, spec)
 
-    lim = cutoff_radius(q) if q < 1.0 else math.inf
-    rhs, err = integrate.dblquad(weighted2, -lim, lim, -lim, lim, epsabs=1e-10, epsrel=1e-8)
+    rhs, err = integrate.dblquad(weighted2, -r, r, -r, r, epsabs=1e-10, epsrel=1e-8)
     if not math.isfinite(rhs) or err > 1e-6:
         raise QuadratureError(f"2-D weighted expectation did not converge (err {err:.2e})")
     return lhs, rhs / lam
@@ -444,12 +414,11 @@ def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
     report, never raised.
     """
     betas = tuple(float(b) for b in beta_sequence)
-    if not betas or any(b <= 0.0 for b in betas):
-        raise ValueError("beta_sequence must contain positive values")
+    if not betas:
+        raise ValueError("beta_sequence must not be empty")
+    specs = [QGaussianSpec(q, b) for b in betas]
     if any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta_sequence must be strictly decreasing")
-    if not q < 3.0:
-        raise ValueError(f"q must be < 3 (got {q})")
     std = QGaussianSpec(q)
     compact = q < 1.0
     z_edge = cutoff_radius(q) if compact else 5.0
@@ -457,8 +426,7 @@ def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
     # P1: G_{q,beta}(x) = beta^-1 G_{q,1}(x / beta), pointwise.
     worst1 = 0.0
     z_pts = np.linspace(-0.95 * z_edge, 0.95 * z_edge, 41)
-    for b in betas:
-        spec_b = QGaussianSpec(q, b)
+    for b, spec_b in zip(betas, specs):
         for z in z_pts:
             x = b * z
             lhs = pdf(x, spec_b)
@@ -473,8 +441,7 @@ def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
     worst2 = 0.0
     outside_ok = True
     detail2: dict = {"tol": 1e-5}
-    for b in betas:
-        spec_b = QGaussianSpec(q, b)
+    for b, spec_b in zip(betas, specs):
         for z in (-1.3, -0.7, -0.25, 0.25, 0.7, 1.3):
             if compact and abs(z) >= 0.9 * z_edge:
                 continue
@@ -497,19 +464,17 @@ def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
 
     # P3: unit mass at every beta.
     worst3 = 0.0
-    for b in betas:
-        spec_b = QGaussianSpec(q, b)
-        lo, hi = (-b * z_edge, b * z_edge) if compact else (-math.inf, math.inf)
-        mass = quad_checked(lambda x: pdf(x, spec_b), lo, hi, atol=1e-12, rtol=1e-10)
+    for spec_b in specs:
+        r = spec_b.radius
+        mass = quad_checked(lambda x: pdf(x, spec_b), -r, r, atol=1e-12, rtol=1e-10)
         worst3 = max(worst3, abs(mass - 1.0))
     p3 = PropertyCheck("P3-unit-mass", worst3 <= 1e-6, worst3, {"tol": 1e-6})
 
     # P4: mass outside a fixed ball shrinks toward 0 along the beta sequence.
     eps = 0.5
     outside_mass = []
-    for b in betas:
-        spec_b = QGaussianSpec(q, b)
-        lo = max(-eps, -b * z_edge) if compact else -eps
+    for spec_b in specs:
+        lo = max(-eps, -spec_b.radius)
         inner = quad_checked(lambda x: pdf(x, spec_b), lo, -lo, atol=1e-12, rtol=1e-10)
         outside_mass.append(max(0.0, 1.0 - inner))
     # mass can reach exactly zero for compact supports, so require
@@ -560,13 +525,13 @@ def qgauss_invariants(q: float, beta: float, dims: list[int], rng: RngStream) ->
     checks = []
     for dim in dims:
         label = f"q={q:g} beta={beta:g} dim={dim}"
+        check_size("dim", dim)
         if q > 1.0 and q >= max_normalizable_q(dim):
             checks.append((f"normalization {label}", True, "skipped: density not integrable"))
             continue
-        r_max = cutoff_radius(q, beta) if q < 1.0 else math.inf
-        center = QGaussianSpec(q, beta, dim)
+        spec = QGaussianSpec(q, beta, dim)
         mass = radial_integral(
-            lambda r: pdf(np.concatenate([[r], np.zeros(dim - 1)]), center), dim, r_max
+            lambda r: pdf(np.concatenate([[r], np.zeros(dim - 1)]), spec), dim, spec.radius
         )
         checks.append((f"normalization {label}", abs(mass - 1.0) < 1e-6, f"mass={mass:.9f}"))
     # scale identity against the standard density

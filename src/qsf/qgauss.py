@@ -1,21 +1,25 @@
 """Heavy-tailed generalized Gaussian family indexed by an entropic parameter q.
 
-The density (entropic index q < 3, width beta > 0, center mu) is
+The density (entropic index q < 3, width beta > 0, dimension N) is
 
-    p(x) = (1 / (beta^N K_{q,N})) * (1 - (1-q)/((3-q) beta^2) * |x - mu|^2)_+^{1/(1-q)}
+    p(x) = (1 / (beta^N K_{q,N})) * (1 - (1-q)/((3-q) beta^2) * |x|^2)_+^{1/(1-q)}
 
 where (y)_+ = max(y, 0). For q < 1 the support is the closed ball of radius
 beta * sqrt((3-q)/(1-q)); for 1 <= q < 3 it is all of R^N with power-law
-tails. q = 1 is handled as the exact Gaussian limit N(mu, beta^2 I), never by
-numerical limiting. beta^2 is the q-variance (the second moment under the
-escort density p^q / int p^q), not the ordinary variance.
+tails, normalizable only for q < 1 + 2/N. q = 1 is handled as the exact
+Gaussian limit N(0, beta^2 I), never by numerical limiting. beta^2 is the
+q-variance (the second moment under the escort density p^q / int p^q), not
+the ordinary variance.
 
 Sampling uses the generalized Box-Muller transform: with q' = (1+q)/(3-q),
 
     z = sqrt(-2 * q_log(U1, q')) * cos(2 pi U2)
 
-has exactly the standard (beta = 1, mu = 0) density above; at q = 1 this is
+has exactly the standard (beta = 1) density above; at q = 1 this is
 the classical Box-Muller transform. Density evaluation lives in qsf.oracles.
+
+:class:`QGaussianSpec` holds the kernel's rules: every (q, beta, N) that the
+package takes is checked by building one.
 
 :func:`sample_batch` holds two full-size arrays at its peak, the uniforms
 U1 and U2: it transforms them ARRAY_BLOCK = 65,536 values at a time, writes
@@ -27,7 +31,8 @@ test are elementwise, so the draws have the bits of a whole-array transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,27 +48,37 @@ BOUNDARY_MARGIN = 1e-12
 ARRAY_BLOCK = 65536
 
 
+def check_size(name: str, value) -> None:
+    """Refuse a size that is not an integer >= 1; a bool is not a size."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1 (got {value!r})")
+
+
 @dataclass(frozen=True)
 class QGaussianSpec:
-    """Distribution parameters: entropic index, width, dimension, center."""
+    """The kernel's parameters, entropic index, width and dimension, and
+    the one home of their rules."""
 
     q: float
     beta: float = 1.0
     dim: int = 1
-    mu: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.q < 3.0:
-            raise ValueError(f"density is not normalizable for q >= 3 (got q={self.q})")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive (got {self.beta})")
-        if int(self.dim) < 1:
-            raise ValueError(f"dim must be >= 1 (got {self.dim})")
-        object.__setattr__(self, "dim", int(self.dim))
-        mu = np.zeros(self.dim) if self.mu is None else np.asarray(self.mu, dtype=float)
-        if mu.shape != (self.dim,):
-            raise ValueError(f"mu must have shape ({self.dim},), got {mu.shape}")
-        object.__setattr__(self, "mu", mu)
+        if not (math.isfinite(self.q) and self.q < 3.0):
+            raise ValueError(f"q must be finite and < 3 (got q={self.q})")
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be finite and > 0 (got beta={self.beta})")
+        check_size("dim", self.dim)
+        if self.q >= max_normalizable_q(self.dim):
+            raise ValueError(
+                f"the {self.dim}-variate density is integrable only for q < 1 + 2/{self.dim}"
+                f" = {max_normalizable_q(self.dim):g} (got q={self.q})"
+            )
+
+    @property
+    def radius(self) -> float:
+        """Support radius: beta * sqrt((3-q)/(1-q)) for q < 1, infinite otherwise."""
+        return cutoff_radius(self.q, self.beta) if self.q < 1.0 else math.inf
 
 
 def q_log(x: float, q: float) -> float:
@@ -124,18 +139,16 @@ def _near_boundary(z: np.ndarray, radius: float) -> np.ndarray:
 
 
 def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
-    """n independent draws from the standard (beta=1, mu=0) distribution.
+    """n independent draws from the standard (beta=1) distribution.
 
     Draws within BOUNDARY_MARGIN of the compact-support radius (q < 1) are
     redrawn so downstream estimator weights stay finite.
     """
-    if not q < 3.0:
-        raise ValueError(f"sampling requires q < 3 (got q={q})")
+    radius = QGaussianSpec(q).radius
     q_prime = (1.0 + q) / (3.0 - q)
     z = _box_muller(rng, q_prime, n)
     if q >= 1.0:
         return z
-    radius = cutoff_radius(q)
     pending = _near_boundary(z, radius)
     while pending.size:
         redraw = _box_muller(rng, q_prime, pending.size)
@@ -173,8 +186,7 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     for k, q in enumerate(qs):
         groups.setdefault(q, []).append(k)
     for q in groups:  # before any draw, so a refused call leaves the streams as they were
-        if not q < 3.0:
-            raise ValueError(f"sampling requires q < 3 (got q={q})")
+        QGaussianSpec(q)
     raw = np.array([rng.raw(blocks * 2 * dim) for rng in rngs]).reshape(-1, blocks, 2, dim)
     out = np.empty((blocks, len(rngs), dim))
     # (K, blocks); the whole-array test first, as a per-block one costs more

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError
-from .qgauss import ARRAY_BLOCK, sample_matrix
+from .qgauss import ARRAY_BLOCK, QGaussianSpec, check_size, sample_matrix
 from .rng import RngStream
 
 
@@ -50,12 +50,9 @@ class GradEstimatorConfig:
     num_perturbations: int  # perturbation count M
 
     def __post_init__(self):
-        if not self.q < 3.0:
-            raise ValueError(f"q must be < 3 (got {self.q})")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0 (got {self.beta})")
-        if self.dim < 1 or self.num_perturbations < 1:
-            raise ValueError("dim and num_perturbations must be >= 1")
+        QGaussianSpec(self.q, self.beta)
+        check_size("dim", self.dim)
+        check_size("num_perturbations", self.num_perturbations)
 
 
 @dataclass(frozen=True)

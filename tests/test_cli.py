@@ -94,16 +94,39 @@ def test_qgauss_verify_subcommand(capsys):
     assert "[FAIL]" not in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-kernel", "--q", "1.0", "--betas", "0.1,0.5"],
-    ["verify-kernel", "--q", "3.5", "--betas", "0.5,0.1"],
-    ["qgauss", "verify", "--q", "0.5", "--dims", "0"],
-    ["qgauss", "verify", "--q", ","],  # nothing to check is not a pass
-    ["qgauss", "verify", "--q", "0.5", "--beta", ","],
-])
-def test_bad_arguments_report_error(argv, capsys):
+# (argv, what the error names); the ids stay argv0, argv1, ...
+BAD_ARGUMENTS = [
+    (["verify-kernel", "--q", "1.0", "--betas", "0.1,0.5"], "strictly decreasing"),
+    (["verify-kernel", "--q", "3.5", "--betas", "0.5,0.1"], "q must be finite and < 3"),
+    (["qgauss", "verify", "--q", "0.5", "--dims", "0"], "dim must be an integer >= 1"),
+    (["qgauss", "verify", "--q", ","], "no numbers"),  # nothing to check is not a pass
+    (["qgauss", "verify", "--q", "0.5", "--beta", ","], "no numbers"),
+    (["qgauss", "verify", "--q", "0.5", "--beta", "inf"], "beta must be finite and > 0"),
+    (["qgauss", "verify", "--q=-inf"], "q must be finite and < 3"),
+    (["qgauss", "verify", "--q", "1.5", "--dims", "0"], "dim must be an integer >= 1"),
+    (["verify-kernel", "--q", "0.5", "--betas", "inf,0.1"], "beta must be finite and > 0"),
+    (["verify-kernel", "--q=-inf", "--betas", "0.5,0.1"], "q must be finite and < 3"),
+]
+
+
+@pytest.mark.parametrize("argv,message", [pytest.param(argv, message, id=f"argv{i}")
+                                          for i, (argv, message) in enumerate(BAD_ARGUMENTS)])
+def test_bad_arguments_report_error(argv, message, capsys):
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "missing.json"],
+    ["summarize", "no/such/dir"],
+    ["trace", "missing.json", "--q", "0.9", "--beta", "0.25"],
+])
+def test_missing_paths_report_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file" in err
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -69,6 +69,13 @@ def test_config_rejects_q_of_three_or_more(tmp_path):
     path.write_text(json.dumps({"q_values": [3.5]}))
     with pytest.raises(ConfigError):
         load_config(path)
+    # a config built in code, where non-finite values get past no JSON check
+    for q in (3.0, math.nan, -math.inf):
+        with pytest.raises(ConfigError, match=r"q_values\[1\]"):
+            ExperimentConfig(q_values=(0.5, q))
+    for beta in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match=r"beta_values\[0\]"):
+            ExperimentConfig(beta_values=(beta,))
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -97,6 +104,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     ('{"q_values": [0.5, 0.9, 0.5]}', "q_values"),
     ('{"q_values": [0.0, -0.0]}', "q_values"),
     ('{"beta_values": [0.25, 0.25]}', "beta_values"),
+    ('{"q_values": [0.5, 3.0]}', r"q_values\[1\]: q must be finite and < 3"),
+    ('{"beta_values": [0.25, 0]}', r"beta_values\[1\]: beta must be finite and > 0"),
+    ('{"beta_values": [Infinity]}', r"beta_values\[0\]"),
+    ('{"q_values": [-Infinity]}', r"q_values\[0\]"),
 ])
 def test_config_rejects_malformed_values_by_key(tmp_path, text, key):
     path = tmp_path / "cfg.json"
@@ -355,6 +366,12 @@ def test_trace_run_requires_grid_point():
     for trial in (1.0, True, np.int64(1)):
         with pytest.raises(ConfigError, match="trial must be an integer"):
             trace_run(cfg, 0.9, 0.25, trial)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_experiment_refuses_worker_counts_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_experiment(tiny_config(), workers=workers)
 
 
 def test_emit_trace_bad_path_raises(tmp_path):

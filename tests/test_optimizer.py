@@ -26,6 +26,7 @@ from qsf.oracles import lambda_q, smoothed_gradient_1d
 from qsf.qgauss import sample_vector
 from qsf.queuesim import QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream
+from test_qgauss import BAD_BETA, BAD_Q
 
 
 class QuadraticSystem:
@@ -132,10 +133,12 @@ def test_project_idempotent_and_feasible(vals):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        make_cfg(q=3.0)
-    with pytest.raises(ValueError):
-        make_cfg(beta=0.0)
+    for q in BAD_Q:
+        with pytest.raises(ValueError, match="q must be"):
+            make_cfg(q=q)
+    for beta in BAD_BETA:
+        with pytest.raises(ValueError, match="beta must be"):
+            make_cfg(beta=beta)
     with pytest.raises(ValueError):
         make_cfg(theta0=np.array([6.0]))  # outside the box
     with pytest.raises(ValueError):

@@ -36,6 +36,12 @@ Q_GRID = (0.0, 0.5, 0.9, 1.5, 2.0, 2.5)
 
 q_strategy = st.floats(min_value=-2.0, max_value=2.99, allow_nan=False)
 
+# Values that break one rule of the kernel each: q finite and < 3, beta
+# finite and > 0, the dimension an integer >= 1.
+BAD_Q = (3.0, math.nan, -math.inf)
+BAD_BETA = (0.0, math.nan, math.inf)
+BAD_DIM = (0, 2.7, True)
+
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -105,20 +111,28 @@ def test_support_examples():
 
     radius = cutoff_radius(0.5, 2.0)
     assert radius == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-12)
+    assert QGaussianSpec(0.5, 2.0).radius == radius
+    assert QGaussianSpec(1.0).radius == QGaussianSpec(1.5, 2.0).radius == math.inf
     # density vanishes just outside the computed radius
     assert pdf(radius + 1e-9, QGaussianSpec(0.5, 2.0)) == 0.0
     assert pdf(radius - 1e-4, QGaussianSpec(0.5, 2.0)) > 0.0
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QGaussianSpec(3.0)
-    with pytest.raises(ValueError):
-        QGaussianSpec(1.5, beta=0.0)
-    with pytest.raises(ValueError):
-        QGaussianSpec(1.5, dim=0)
-    with pytest.raises(ValueError):
-        QGaussianSpec(1.5, dim=2, mu=np.zeros(3))
+    for q in BAD_Q:
+        with pytest.raises(ValueError, match="q must be finite and < 3"):
+            QGaussianSpec(q)
+        with pytest.raises(ValueError, match="q must be finite and < 3"):
+            sample_batch(RngStream(1), q, 4)
+    for beta in BAD_BETA:
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            QGaussianSpec(1.5, beta=beta)
+    for dim in BAD_DIM:
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            QGaussianSpec(0.5, dim=dim)
+    with pytest.raises(ValueError, match="integrable only for q < 1 \\+ 2/2"):
+        QGaussianSpec(2.0, dim=2)
+    assert QGaussianSpec(0.5, dim=np.int64(2)).dim == 2
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +165,14 @@ def test_constant_matches_quadrature(q, dim):
 
 
 def test_constant_rejects_q_at_least_three():
-    with pytest.raises(ValueError):
-        normalizing_constant(3.0, 1)
+    for q in BAD_Q:
+        with pytest.raises(ValueError):
+            normalizing_constant(q, 1)
     with pytest.raises(ValueError):
         normalizing_constant(3.5, 2)
+    for dim in BAD_DIM:
+        with pytest.raises(ValueError):
+            normalizing_constant(0.5, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +560,13 @@ def test_sample_lanes_after_a_dropped_lane():
 
 
 def test_sample_lanes_refusal_leaves_the_streams_unread():
-    # a lane with q >= 3 is refused before any lane's stream is read
-    lanes = [RngStream(75, k) for k in range(3)]
-    with pytest.raises(ValueError):
-        sample_lanes(lanes, [0.5, 3.0, 1.5], 4, 64)
-    for k, lane in enumerate(lanes):
-        assert lane.raw(8).tobytes() == RngStream(75, k).raw(8).tobytes()
+    # a lane with a q the kernel refuses is refused before any lane's stream is read
+    for bad in BAD_Q:
+        lanes = [RngStream(75, k) for k in range(3)]
+        with pytest.raises(ValueError):
+            sample_lanes(lanes, [0.5, bad, 1.5], 4, 64)
+        for k, lane in enumerate(lanes):
+            assert lane.raw(8).tobytes() == RngStream(75, k).raw(8).tobytes()
 
 
 def test_quadrature_cdf_matches_student_t():

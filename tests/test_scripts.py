@@ -7,13 +7,13 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name, *args):
+def run_script(name, *args, ok=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    return proc.stdout
+    assert (proc.returncode == 0) == ok, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return proc.stdout if ok else proc.stderr
 
 
 def test_run_benchmark_cell(tmp_path):
@@ -26,6 +26,14 @@ def test_run_benchmark_cell(tmp_path):
     assert len(sweep) == 1 + 2 * 20  # q in {0.9, 1.0}, 20 trials each
     for name in ("summary.csv", "summary_stderr.csv", "timings.csv"):
         assert (out / name).exists()
+
+
+def test_run_benchmark_cell_refuses_zero_workers(tmp_path):
+    out = tmp_path / "cell"
+    stderr = run_script("run_benchmark_cell.py", "--iterations", "3", "--samples", "2",
+                        "--workers", "0", "--out", str(out), ok=False)
+    assert "workers must be >= 1" in stderr
+    assert not out.exists()
 
 
 def test_reproduce_convergence_curve(tmp_path):

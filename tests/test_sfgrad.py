@@ -16,6 +16,7 @@ from qsf.oracles import (
 from qsf.qgauss import ARRAY_BLOCK, QGaussianSpec, sample_matrix
 from qsf.rng import RngStream
 from qsf.sfgrad import GradEstimatorConfig, estimate_gradient
+from test_qgauss import BAD_BETA, BAD_DIM, BAD_Q
 
 BETAS = (0.5, 0.1, 0.02)
 
@@ -252,6 +253,9 @@ def test_kernel_report_validates_inputs():
         verify_kernel_properties(1.5, (0.1, 0.5))  # not decreasing
     with pytest.raises(ValueError):
         verify_kernel_properties(3.2, (0.5, 0.1))
+    for q, betas in ((0.5, (math.inf, 0.1)), (0.5, (0.5, 0.0)), (-math.inf, (0.5, 0.1)), (0.5, ())):
+        with pytest.raises(ValueError):
+            verify_kernel_properties(q, betas)
     with pytest.raises(ValueError):
         KernelPropertyReport(q=1.5, betas=(0.1,), checks=())
 
@@ -294,9 +298,14 @@ def test_bias_rate_for_quartic_cost(q):
 
 
 def test_estimator_config_validation():
-    with pytest.raises(ValueError):
-        GradEstimatorConfig(q=3.0, beta=0.1, dim=1, num_perturbations=10)
-    with pytest.raises(ValueError):
-        GradEstimatorConfig(q=1.0, beta=-0.1, dim=1, num_perturbations=10)
-    with pytest.raises(ValueError):
-        GradEstimatorConfig(q=1.0, beta=0.1, dim=0, num_perturbations=10)
+    for q in BAD_Q:
+        with pytest.raises(ValueError, match="q must be"):
+            GradEstimatorConfig(q=q, beta=0.1, dim=1, num_perturbations=10)
+    for beta in BAD_BETA + (-0.1,):
+        with pytest.raises(ValueError, match="beta must be"):
+            GradEstimatorConfig(q=1.0, beta=beta, dim=1, num_perturbations=10)
+    for size in BAD_DIM + (math.nan,):
+        with pytest.raises(ValueError, match="dim must be"):
+            GradEstimatorConfig(q=1.0, beta=0.1, dim=size, num_perturbations=10)
+        with pytest.raises(ValueError, match="num_perturbations must be"):
+            GradEstimatorConfig(q=1.0, beta=0.1, dim=1, num_perturbations=size)
