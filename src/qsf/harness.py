@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .optimizer import OptimizerSettings, RunTrace, TwoTimescaleConfig, run_lanes, run_qsf
-from .qgauss import QGaussianSpec
+from .qgauss import QGaussianSpec, check_size
 from .queuesim import QueueNetwork, QueueNetworkConfig
 from .rng import RngStream
 
@@ -73,8 +73,10 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not values or len(set(values)) < len(values):  # 0.0 == -0.0 counts as a repeat
                 raise ConfigError(f"{name} must hold at least one value and none twice")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        try:
+            check_size("trials", self.trials)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         dim = self.network.dim
         if self.optimizer.theta0.shape != (dim,):
             raise ConfigError(f"optimizer.box_min, optimizer.box_max and optimizer.theta0 "

@@ -53,7 +53,7 @@ import numpy as np
 from .errors import DivergenceError
 # sample_vector stays importable from here: perfbench's tracer patches it in
 # every module that imported it by name.
-from .qgauss import QGaussianSpec, sample_lanes, sample_vector  # noqa: F401
+from .qgauss import QGaussianSpec, check_size, sample_lanes, sample_vector  # noqa: F401
 from .rng import RngStream
 
 # A lane whose tracker has a component beyond this band, or a non-finite
@@ -96,8 +96,8 @@ class OptimizerSettings:
         vectors = ("box_min", "box_max", "theta0")
         for name in vectors:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.num_iterations >= 1 and self.samples_per_iteration >= 1):
-            raise ValueError("num_iterations and samples_per_iteration must be >= 1")
+        check_size("num_iterations", self.num_iterations)
+        check_size("samples_per_iteration", self.samples_per_iteration)
         shapes = [getattr(self, name).shape for name in vectors]
         for name, shape in zip(vectors, shapes):
             if shapes.count(shape) == 1:  # the odd one out (box_min when all three differ)

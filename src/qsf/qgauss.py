@@ -159,7 +159,8 @@ def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
 
 def sample_vector(rng: RngStream, q: float, dim: int) -> np.ndarray:
     """Vector of dim i.i.d. standard univariate draws (component-wise, not joint)."""
-    return sample_batch(rng, q, int(dim))
+    check_size("dim", dim)
+    return sample_batch(rng, q, dim)
 
 
 def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:

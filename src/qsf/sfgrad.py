@@ -22,9 +22,12 @@ perturbed points and the costs ``fv``, the output of the one ``f`` call
 (2.25 times the size of ``zs`` in dim 4). The points are freed once ``f``
 has run; the weights and the terms z * f * w / beta are then built block by
 block, ``qgauss.ARRAY_BLOCK`` rows at a time, over ``zs`` itself, and each
-block's column sum goes into one Kahan-compensated total. Every step is
-elementwise or a sum over the same 65,536-row blocks as a whole-array
-computation, so the estimate keeps its bits.
+block's column sum goes into one Kahan-compensated total. The standard
+error runs the steps of ``zs.std(axis=0)`` in place over the terms, so
+nothing of M rows is allocated after ``f`` has run. Every step is
+elementwise, a sum over the same 65,536-row blocks as a whole-array
+computation, or the same ufunc sequence as ``std``, so the estimate and its
+standard error keep their bits.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ def estimate_gradient(
     i.i.d. component draws make it biased for dim > 1 when q != 1.
     ``f`` is evaluated once at each perturbed point (it may be a noisy
     oracle); pass ``vectorized=True`` when f maps an (n, dim) array to n
-    values. Deterministic for a given rng.
+    values, shape (n,): any other shape raises ValueError. Deterministic
+    for a given rng.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (cfg.dim,):
@@ -88,6 +92,8 @@ def estimate_gradient(
     pts += theta
     if vectorized:
         fv = np.asarray(f(pts), dtype=float)
+        if fv.shape != (m,):
+            raise ValueError(f"a vectorized f must return shape ({m},), got {fv.shape}")
     else:
         fv = np.fromiter((f(p) for p in pts), dtype=float, count=m)
     del pts
@@ -108,5 +114,14 @@ def estimate_gradient(
     value = total / m
     if not np.all(np.isfinite(value)):
         raise ConvergenceError(f"non-finite gradient accumulation: {value!r}")
-    stderr = zs.std(axis=0) / math.sqrt(m)  # zs holds the terms now
+    # zs.std(axis=0) over the terms, without its M-row temporary: the ufunc
+    # steps of NumPy's _var and _std (numpy/_core/_methods.py) in the same
+    # order, in place over zs, which is not used after this
+    mean = zs.sum(axis=0, keepdims=True)
+    mean /= m
+    zs -= mean
+    np.square(zs, out=zs)
+    var = zs.sum(axis=0)
+    var /= m
+    stderr = np.sqrt(var) / math.sqrt(m)
     return GradEstimate(value=value, stderr=stderr)

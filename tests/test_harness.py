@@ -78,6 +78,12 @@ def test_config_rejects_q_of_three_or_more(tmp_path):
             ExperimentConfig(beta_values=(beta,))
 
 
+def test_config_built_in_code_refuses_a_bad_trial_count():
+    for trials in (2.5, True, 0):  # a bool is not a count
+        with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
+            ExperimentConfig(trials=trials)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"qvalues": [0.5]}))
@@ -93,6 +99,8 @@ def test_config_rejects_unknown_keys(tmp_path):
     ('{"optimizer": {"M": 2.5}}', "optimizer.M"),
     ('{"q_values": [NaN]}', r"q_values\[0\]"),
     ('{"optimizer": {"M": 0}}', "optimizer.M"),
+    ('{"optimizer": {"L": 0}}', "optimizer.L must be an integer >= 1"),
+    ('{"trials": 0}', "trials must be an integer >= 1"),
     ('{"optimizer": {"theta0": [6, 5, 5, 5]}}', "optimizer.theta0"),
     ('{"optimizer": {"box_min": [0, 0, 0, 5]}}', "optimizer.box_min"),
     ('{"optimizer": {"box_max": [5, 5, 5]}}', "optimizer.box_max"),

@@ -143,6 +143,10 @@ def test_config_validation():
         make_cfg(theta0=np.array([6.0]))  # outside the box
     with pytest.raises(ValueError):
         OptimizerSettings(theta0=[math.nan, 5.0, 5.0, 5.0])  # NaN fails every comparison
+    for name, key in (("num_iterations", "m"), ("samples_per_iteration", "ell")):
+        for size in (2.5, True, 0):  # a bool is not a size
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                make_cfg(**{key: size})
     with pytest.raises(ValueError):
         TwoTimescaleConfig(
             num_iterations=1, samples_per_iteration=1, q=1.0, beta=0.1,

@@ -355,6 +355,9 @@ def test_sample_vector_matches_batch_distribution():
     m = sample_matrix(RngStream(7), 0.5, 3, 2)
     assert m.shape == (3, 2)
     assert np.array_equal(m.ravel(), sample_batch(RngStream(7), 0.5, 6))
+    for dim in BAD_DIM:  # 2.7 is refused, not truncated to 2
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            sample_vector(rng, 0.5, dim)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])

@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -137,7 +142,8 @@ def test_estimator_memory_peak():
     # tracemalloc sees NumPy's buffers: at its peak the estimate holds the
     # perturbations, the points and the costs, the one output of f, which
     # is 2.25 times the perturbations in dim 4, whatever the allocator does,
-    # plus one block's temporaries
+    # plus one block's temporaries; the standard error, computed in place
+    # over the perturbations after f has run, adds nothing of M rows
     m, dim = 2**18, 4
     size = m * dim * 8
     f = lambda pts: np.einsum("ij,ij->i", pts, pts)
@@ -150,6 +156,57 @@ def test_estimator_memory_peak():
         finally:
             tracemalloc.stop()
         assert peak <= 2.4 * size, (q, peak / size)
+
+
+RSS_PROBE = """
+import numpy as np
+from qsf.rng import RngStream
+from qsf.sfgrad import GradEstimatorConfig, estimate_gradient
+
+m, dim = 2**18, 4
+f = lambda pts: np.einsum("ij,ij->i", pts, pts)
+cfg = lambda q, n: GradEstimatorConfig(q=q, beta=0.5, dim=dim, num_perturbations=n)
+
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+estimate_gradient(f, np.ones(dim), cfg(1.0, 1000), RngStream(19), vectorized=True)
+base = peak_kib()
+for q in (0.5, 1.0, 1.5):
+    estimate_gradient(f, np.ones(dim), cfg(q, m), RngStream(19), vectorized=True)
+print((peak_kib() - base) * 1024 / (m * dim * 8))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"),
+                    reason="bound measured with glibc malloc on Linux")
+def test_estimator_rss_growth():
+    # What the process takes from the system, in a fresh interpreter. It
+    # reads the peak RSS of its own memory map (VmHWM, KiB), not ru_maxrss,
+    # which on Linux starts from the spawning process's peak. The 8 MiB
+    # arrays stay under glibc's mmap ceiling, so freed ones are kept for
+    # reuse and an extra M-row temporary raises the peak: a std(axis=0) over
+    # the terms read 3.3 times the perturbations here, the in-place
+    # standard error 2.3.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth = float(proc.stdout)
+    assert growth <= 2.6, growth
+
+
+@pytest.mark.parametrize("shape", [(1000, 1), (1000, 2), ()])
+def test_estimator_refuses_a_vectorized_f_of_another_shape(shape):
+    # a column of costs would broadcast against the weights to M x M
+    f = lambda pts: np.zeros(shape)
+    with pytest.raises(ValueError, match=f"shape \\(1000,\\), got {re.escape(str(shape))}"):
+        estimate_gradient(f, np.zeros(2), _cfg(1.0, 0.1, dim=2, m=1000), RngStream(20),
+                          vectorized=True)
 
 
 # ---------------------------------------------------------------------------
