@@ -21,6 +21,7 @@ import sys
 
 from . import harness
 from .errors import QsfError
+from .qgauss import QGaussianSpec, check_size
 from .rng import RngStream
 
 
@@ -74,22 +75,28 @@ def _cmd_verify_kernel(args) -> int:
     from . import oracles  # SciPy loads only for the verification commands
 
     report = oracles.verify_kernel_properties(args.q, _floats(args.betas))
-    text = json.dumps(report.to_dict(), indent=2)
+    text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    return 0 if report.passed else 1
+    return 0 if report["passed"] else 1
 
 
 def _cmd_qgauss_verify(args) -> int:
     from . import oracles
 
     rng = RngStream(args.seed)
+    qs, betas = _floats(args.q), _floats(args.beta)
     dims = [int(d) for d in args.dims.split(",")]
+    for q in qs:  # every argument before any check runs, as verify-kernel does
+        for beta in betas:
+            QGaussianSpec(q, beta)
+    for dim in dims:
+        check_size("dim", dim)
     failures = 0
-    for q in _floats(args.q):
-        for beta in _floats(args.beta):
+    for q in qs:
+        for beta in betas:
             for name, ok, detail in oracles.qgauss_invariants(q, beta, dims, rng):
                 print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
                 failures += 0 if ok else 1

@@ -7,7 +7,8 @@ of steps at the perturbed parameter while a fast recursion Z tracks the
     Z <- (1 - b(n)) Z + b(n) * eta * h(Y) * w(eta) / beta      (per system step)
     theta <- clamp(theta - a(n) * Z)                           (per block)
 
-with a(n) = 1/(n+1) and b(n) = 1/(n+1)^(2/3), so a(n) = o(b(n)) and both
+with the estimator weight w(eta) = 1 / qsf.qgauss.weight_base(|eta|^2, q) of
+qsf.sfgrad, and a(n) = 1/(n+1) and b(n) = 1/(n+1)^(2/3), so a(n) = o(b(n)) and both
 schedules are divergent with square-summable tails. The system's state is
 never reset between blocks: the recursion rides a single trajectory.
 
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import DivergenceError
 # sample_vector stays importable from here: perfbench's tracer patches it in
 # every module that imported it by name.
-from .qgauss import QGaussianSpec, check_size, sample_lanes, sample_vector  # noqa: F401
+from .qgauss import QGaussianSpec, check_size, sample_lanes, sample_vector, weight_base  # noqa: F401
 from .rng import RngStream
 
 # A lane whose tracker has a component beyond this band, or a non-finite
@@ -194,8 +195,7 @@ def run_lanes(systems: list, settings: OptimizerSettings, lanes: list, *,
     theta = np.tile(start, (len(systems), 1))
     z = np.zeros_like(theta)
     qs, betas, seeds = (list(x) for x in zip(*lanes))
-    q, beta = np.array(qs), np.array(betas)
-    coef = (1.0 - q) / (3.0 - q)
+    beta = np.array(betas)
     rngs = [seed.child("perturbation") for seed in seeds]
     ell, lo, hi = settings.samples_per_iteration, settings.box_min, settings.box_max
     block_start_z = settings.use_block_start_z
@@ -212,7 +212,7 @@ def run_lanes(systems: list, settings: OptimizerSettings, lanes: list, *,
         # dim), with everything about them that does not depend on theta.
         etas = sample_lanes(rngs, qs, dim, min(_CHUNK, m - n))
         bs = [step_size_b(i) for i in range(n, n + len(etas))]
-        w = 1.0 / (1.0 - coef * np.vecdot(etas, etas))
+        w = 1.0 / weight_base(np.vecdot(etas, etas), np.array(qs))
         gains = (np.array(bs)[:, None] * w / beta)[..., None]
         shifts = beta[:, None] * etas
         for j, b in enumerate(bs):
@@ -249,7 +249,7 @@ def run_lanes(systems: list, settings: OptimizerSettings, lanes: list, *,
                 if records is not None:
                     records = [records[i] for i in keep]
                 steps = [system.step for system in systems]
-                theta, z, z_start, beta, coef = theta[ok], z[ok], z_start[ok], beta[ok], coef[ok]
+                theta, z, z_start, beta = theta[ok], z[ok], z_start[ok], beta[ok]
                 etas, gains, shifts = etas[:, ok], gains[:, ok], shifts[:, ok]
                 if not keep:
                     break

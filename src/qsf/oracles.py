@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, interpolate, special, stats
 
 from .errors import QuadratureError
-from .qgauss import QGaussianSpec, check_size, cutoff_radius, max_normalizable_q, sample_batch
+from .qgauss import QGaussianSpec, cutoff_radius, max_normalizable_q, sample_batch, weight_base
 from .rng import RngStream
 
 ABS_TOL = 1e-10
@@ -36,20 +35,33 @@ def quad_checked(
     wvar=None,
 ) -> float:
     """Integrate ``f`` on [a, b]; raise QuadratureError on non-convergence."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", integrate.IntegrationWarning)
-        if weight is None:
-            value, err = integrate.quad(f, a, b, epsabs=atol, epsrel=rtol, limit=limit)
-        else:
-            value, err = integrate.quad(
-                f, a, b, epsabs=atol, epsrel=rtol, limit=limit, weight=weight, wvar=wvar
-            )
-    bad = [w for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
-    if bad:
-        raise QuadratureError(f"quadrature on [{a}, {b}] did not converge: {bad[0].message}")
+    return _checked(lambda: integrate.quad(f, a, b, epsabs=atol, epsrel=rtol, limit=limit,
+                                           weight=weight, wvar=wvar),
+                    f"[{a}, {b}]", atol, rtol)
+
+
+def dblquad_checked(f: Callable[[float, float], float], a: float, b: float, *,
+                    atol: float = ABS_TOL, rtol: float = REL_TOL) -> float:
+    """Integrate ``f(y, x)`` on the square [a, b]^2; raise QuadratureError on
+    non-convergence, as :func:`quad_checked` does."""
+    return _checked(lambda: integrate.dblquad(f, a, b, a, b, epsabs=atol, epsrel=rtol),
+                    f"[{a}, {b}]^2", atol, rtol)
+
+
+def _checked(run: Callable[[], tuple], where: str, atol: float, rtol: float) -> float:
+    """The value of a QUADPACK call ``run``, or QuadratureError when it warns,
+    is not finite, or reports an error estimate above 100 times the tolerance.
+    The first warning, of an inner 1-D pass of a double quadrature too, ends
+    the call."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            value, err = run()
+        except integrate.IntegrationWarning as warning:
+            raise QuadratureError(f"quadrature on {where} did not converge: {warning}") from None
     if not math.isfinite(value) or err > max(atol, rtol * abs(value)) * 100:
         raise QuadratureError(
-            f"quadrature on [{a}, {b}] error estimate {err:.2e} too large for value {value:.6e}"
+            f"quadrature on {where} error estimate {err:.2e} too large for value {value:.6e}"
         )
     return value
 
@@ -101,16 +113,16 @@ def radial_integral(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def panel_cumulative(pdf_batch: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
+def panel_cumulative(density: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
     """Cumulative integral of a density along ``grid`` by per-panel Gauss-Legendre.
 
     Returns an array c with c[0] = 0 and c[k] = integral from grid[0] to
-    grid[k]. The density callable must accept a flat array of points.
+    grid[k]. The density maps an array of points to the array of its values.
     """
     mid = 0.5 * (grid[1:] + grid[:-1])
     half = 0.5 * (grid[1:] - grid[:-1])
     pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = pdf_batch(pts.ravel()).reshape(pts.shape)
+    vals = density(pts)
     panels = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
     out = np.empty(grid.shape[0])
     out[0] = 0.0
@@ -129,58 +141,47 @@ def normalizing_constant(q: float, dim: int) -> float:
     QGaussianSpec(q, dim=dim)
     if q == 1.0:
         return (2.0 * math.pi) ** (dim / 2.0)
+    a = 1.0 / abs(1.0 - q)  # |1-q| rounds as q-1 does for q > 1
+    log_k = 0.5 * dim * math.log(math.pi * (3.0 - q) / abs(1.0 - q))
     if q < 1.0:
-        a = 1.0 / (1.0 - q)
-        log_k = 0.5 * dim * math.log(math.pi * (3.0 - q) / (1.0 - q))
         log_k += special.gammaln(a + 1.0) - special.gammaln(a + 1.0 + dim / 2.0)
-        return float(math.exp(log_k))
-    a = 1.0 / (q - 1.0)
-    log_k = 0.5 * dim * math.log(math.pi * (3.0 - q) / (q - 1.0))
-    log_k += special.gammaln(a - dim / 2.0) - special.gammaln(a)
+    else:
+        log_k += special.gammaln(a - dim / 2.0) - special.gammaln(a)
     return float(math.exp(log_k))
 
 
-def _bracket(r2: np.ndarray | float, q: float, beta: float) -> np.ndarray | float:
-    """The base 1 - (1-q) r^2 / ((3-q) beta^2) of the density power."""
-    return 1.0 - ((1.0 - q) / ((3.0 - q) * beta * beta)) * r2
-
-
-def pdf(x, spec: QGaussianSpec) -> float:
-    """Density at a single point (scalar for dim=1, length-dim vector otherwise)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (spec.dim,):
-        raise ValueError(f"point must have shape ({spec.dim},), got {x.shape}")
-    r2 = float(np.sum(x**2))
+def radial_pdf(r2, spec: QGaussianSpec):
+    """Density at squared distance r2 from the center: an array of the shape
+    of r2, or a float for a scalar r2. It is exactly 0.0 on and beyond the
+    support radius (q < 1), with no NaN and no warning there."""
+    r2 = np.asarray(r2, dtype=float)
     q, beta, n = spec.q, spec.beta, spec.dim
     if q == 1.0:
-        return math.exp(-r2 / (2.0 * beta * beta)) / (2.0 * math.pi * beta * beta) ** (n / 2.0)
-    if q < 1.0 and r2 >= ((3.0 - q) / (1.0 - q)) * beta * beta:
-        # cutoff: identically zero on and outside the support sphere
-        return 0.0
-    br = _bracket(r2, q, beta)
-    if br <= 0.0:
-        return 0.0
-    k = normalizing_constant(q, n)
-    return math.exp(math.log(br) / (1.0 - q)) / (beta**n * k)
+        p = np.exp(-r2 / (2.0 * beta * beta)) / (2.0 * math.pi * beta * beta) ** (n / 2.0)
+    else:
+        base = weight_base(r2, q, beta)
+        inside = (np.sqrt(r2) < spec.radius) & (base > 0.0)
+        p = np.where(inside, np.exp(np.log(np.where(inside, base, 1.0)) / (1.0 - q)), 0.0)
+        p /= beta**n * normalizing_constant(q, n)
+    return float(p) if p.ndim == 0 else p
 
 
-def pdf_batch(xs: np.ndarray, spec: QGaussianSpec) -> np.ndarray:
-    """Vectorized density for dim=1 points, used by quadrature and KS oracles."""
-    if spec.dim != 1:
-        raise ValueError("pdf_batch supports dim=1 only")
-    xs = np.asarray(xs, dtype=float)
-    q, beta = spec.q, spec.beta
-    d2 = xs**2
-    if q == 1.0:
-        return np.exp(-d2 / (2.0 * beta * beta)) / math.sqrt(2.0 * math.pi * beta * beta)
-    br = _bracket(d2, q, beta)
-    k = normalizing_constant(q, 1)
-    if q < 1.0:
-        out = np.zeros_like(br)
-        inside = (br > 0.0) & (d2 < ((3.0 - q) / (1.0 - q)) * beta * beta)
-        out[inside] = np.exp(np.log(br[inside]) / (1.0 - q))
-        return out / (beta * k)
-    return np.exp(np.log(br) / (1.0 - q)) / (beta * k)
+def pdf(x, spec: QGaussianSpec):
+    """Density at points x: any shape in dim 1, shape (..., dim) otherwise.
+    Returns an array of the points' shape, or a float for one point."""
+    x = np.asarray(x, dtype=float)
+    if spec.dim == 1:
+        return radial_pdf(x * x, spec)
+    if x.shape[-1:] != (spec.dim,):
+        raise ValueError(f"points must have shape (..., {spec.dim}), got {x.shape}")
+    return radial_pdf((x * x).sum(axis=-1), spec)
+
+
+def _weighted_pdf(r2: float, spec: QGaussianSpec) -> float:
+    """Density over the bracket, p / weight_base(r2, q, beta), at one squared
+    radius: w * p for the estimator weight w at beta = 1, and 0.0 where p is."""
+    p = radial_pdf(r2, spec)
+    return p / weight_base(r2, spec.q, spec.beta) if p > 0.0 else 0.0
 
 
 def q_expectation(f: Callable, spec: QGaussianSpec) -> float:
@@ -191,52 +192,40 @@ def q_expectation(f: Callable, spec: QGaussianSpec) -> float:
         power = lambda x: pdf(x, spec) ** spec.q
         num = quad_checked(lambda x: f(x) * power(x), -r, r)
         den = quad_checked(power, -r, r)
-        return num / den
-    if spec.dim == 2:
-        power = lambda y, x: pdf(np.array([x, y]), spec) ** spec.q
-        num, _ = integrate.dblquad(
-            lambda y, x: f(np.array([x, y])) * power(y, x), -r, r, -r, r,
-            epsabs=1e-10, epsrel=1e-8,
-        )
-        den, _ = integrate.dblquad(power, -r, r, -r, r, epsabs=1e-10, epsrel=1e-8)
-        return num / den
-    raise ValueError("q_expectation supports dim <= 2")
+    elif spec.dim == 2:
+        power = lambda y, x: pdf((x, y), spec) ** spec.q
+        num = dblquad_checked(lambda y, x: f(np.array([x, y])) * power(y, x), -r, r)
+        den = dblquad_checked(power, -r, r)
+    else:
+        raise ValueError("q_expectation supports dim <= 2")
+    return num / den
 
 
 def tsallis_entropy(spec: QGaussianSpec) -> float:
     """Entropy (1 - int p^q) / (q - 1); Shannon differential entropy at q = 1."""
     if spec.dim > 2:
         raise ValueError("entropy quadrature supports dim <= 2")
-    n = spec.dim
     if spec.q == 1.0:
 
         def integrand(r):
-            p = pdf(np.concatenate([[r], np.zeros(n - 1)]), spec)
+            p = radial_pdf(r * r, spec)
             return -p * math.log(p) if p > 0.0 else 0.0
 
-        return radial_integral(integrand, n, math.inf)
-    mass_q = radial_integral(
-        lambda r: pdf(np.concatenate([[r], np.zeros(n - 1)]), spec) ** spec.q, n, spec.radius
-    )
+        return radial_integral(integrand, spec.dim, math.inf)
+    mass_q = radial_integral(lambda r: radial_pdf(r * r, spec) ** spec.q, spec.dim, spec.radius)
     return (1.0 - mass_q) / (spec.q - 1.0)
 
 
 def lambda_q(q: float, dim: int = 1) -> float:
     """Scale factor relating escort to plain expectations (1 at q = 1).
 
-    Lambda = K^(q-1) * int G^q = E_G[1 / (1 - (1-q)/(3-q) |x|^2)], computed by
+    Lambda = K^(q-1) * int G^q = E_G[1 / weight_base(|x|^2, q)], computed by
     radial quadrature of the standard dim-variate density.
     """
     if q == 1.0:
         return 1.0
-    k = normalizing_constant(q, dim)  # validates integrability for this dim
-    expo = 1.0 / (1.0 - q) - 1.0
-
-    def integrand(r):
-        br = _bracket(r * r, q, 1.0)
-        return math.exp(expo * math.log(br)) if br > 0.0 else 0.0
-
-    return radial_integral(integrand, dim, QGaussianSpec(q).radius) / k
+    spec = QGaussianSpec(q, dim=dim)
+    return radial_integral(lambda r: _weighted_pdf(r * r, spec), dim, spec.radius)
 
 
 def quadrature_cdf(spec: QGaussianSpec, *, panels: int = 4096) -> Callable[[np.ndarray], np.ndarray]:
@@ -268,7 +257,7 @@ def quadrature_cdf(spec: QGaussianSpec, *, panels: int = 4096) -> Callable[[np.n
         grid = spec.beta * np.sinh(np.linspace(-a, a, panels + 1))
         left_tail = two_sided_tail(t) / 2.0
 
-    cdf_vals = left_tail + panel_cumulative(lambda x: pdf_batch(x, spec), grid)
+    cdf_vals = left_tail + panel_cumulative(lambda x: pdf(x, spec), grid)
     total = cdf_vals[-1] + left_tail
     if abs(total - 1.0) > 1e-6:
         raise QuadratureError(f"CDF mass check failed: total = {total!r}")
@@ -280,53 +269,6 @@ def quadrature_cdf(spec: QGaussianSpec, *, panels: int = 4096) -> Callable[[np.n
         return np.clip(interp(np.clip(x, lo, hi)), 0.0, 1.0)
 
     return cdf
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    passed: bool
-    discrepancy: float
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class KernelPropertyReport:
-    """Numeric verdicts for the five smoothing-kernel conditions."""
-
-    q: float
-    betas: tuple
-    checks: tuple  # exactly five PropertyCheck entries, P1..P5
-
-    def __post_init__(self):
-        if len(self.checks) != 5:
-            raise ValueError("a kernel report covers exactly five properties")
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> PropertyCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "betas": list(self.betas),
-            "passed": self.passed,
-            "properties": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "discrepancy": c.discrepancy,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def smoothed_gradient_1d(f: Callable[[float], float], theta: float, q: float, beta: float) -> float:
@@ -341,11 +283,9 @@ def smoothed_gradient_1d(f: Callable[[float], float], theta: float, q: float, be
     (3-q)/2 times this value.
     """
     spec = QGaussianSpec(q)
-    coef = (1.0 - q) / (3.0 - q)
 
     def integrand(z):
-        w = 1.0 / (1.0 - coef * z * z)
-        return z * (f(theta + beta * z) - f(theta - beta * z)) * w * pdf(z, spec)
+        return z * (f(theta + beta * z) - f(theta - beta * z)) * _weighted_pdf(z * z, spec)
 
     val = quad_checked(integrand, 0.0, spec.radius, atol=1e-12, rtol=1e-9)
     return 2.0 / (beta * (3.0 - q)) * val
@@ -362,56 +302,46 @@ def escort_identity_check(f: Callable, q: float, dim: int = 1) -> tuple[float, f
         raise ValueError("escort_identity_check supports dim in {1, 2}")
     spec = QGaussianSpec(q, dim=dim)
     lam = lambda_q(q, dim)
-    coef = (1.0 - q) / (3.0 - q)
     r = spec.radius
     if dim == 1:
-        if q >= 1.0:
-            escort_num = lambda x: f(x) * pdf(x, spec) ** q
-            weighted_num = lambda x: f(x) * pdf(x, spec) / (1.0 - coef * x * x)
-            for g in (escort_num, weighted_num):
-                if probe_divergence(g):
-                    raise QuadratureError(
-                        "integrand has non-integrable tails for this (f, q) pair"
-                    )
+        weighted = lambda x: f(x) * _weighted_pdf(x * x, spec)
+        escort_num = lambda x: f(x) * pdf(x, spec) ** q
+        if q >= 1.0 and (probe_divergence(escort_num) or probe_divergence(weighted)):
+            raise QuadratureError("integrand has non-integrable tails for this (f, q) pair")
         lhs = q_expectation(f, spec)
-
-        def weighted(z):
-            w = 1.0 / (1.0 - coef * z * z)
-            return f(z) * w * pdf(z, spec)
-
-        halves = quad_checked(weighted, 0.0, r, atol=1e-12, rtol=1e-9) + quad_checked(
+        rhs = quad_checked(weighted, 0.0, r, atol=1e-12, rtol=1e-9) + quad_checked(
             lambda z: weighted(-z), 0.0, r, atol=1e-12, rtol=1e-9
         )
-        return lhs, halves / lam
+        return lhs, rhs / lam
     # dim == 2: plain (non-radial) double quadrature for generic f
     lhs = q_expectation(f, spec)
-
-    def weighted2(y, x):
-        v = np.array([x, y])
-        w = 1.0 / (1.0 - coef * (x * x + y * y))
-        return f(v) * w * pdf(v, spec)
-
-    rhs, err = integrate.dblquad(weighted2, -r, r, -r, r, epsabs=1e-10, epsrel=1e-8)
-    if not math.isfinite(rhs) or err > 1e-6:
-        raise QuadratureError(f"2-D weighted expectation did not converge (err {err:.2e})")
+    rhs = dblquad_checked(lambda y, x: f(np.array([x, y])) * _weighted_pdf(x * x + y * y, spec), -r, r)
     return lhs, rhs / lam
 
 
-def _grad_formula(x: float, q: float, beta: float, spec_b: QGaussianSpec) -> float:
-    br = 1.0 - ((1.0 - q) / ((3.0 - q) * beta * beta)) * x * x
-    if br <= 0.0:
+def _grad_formula(x: float, spec_b: QGaussianSpec) -> float:
+    """Analytic derivative of the univariate density: -2x / ((3-q) beta^2) * p / bracket."""
+    q, beta = spec_b.q, spec_b.beta
+    p = pdf(x, spec_b)
+    if p == 0.0:
         return 0.0
-    return -(2.0 * x / ((3.0 - q) * beta * beta)) * pdf(x, spec_b) / br
+    return -(2.0 * x / ((3.0 - q) * beta * beta)) * p / weight_base(x * x, q, beta)
 
 
-def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
+def _property(name: str, passed: bool, discrepancy: float, detail: dict) -> dict:
+    return {"name": name, "passed": passed, "discrepancy": discrepancy, "detail": detail}
+
+
+def verify_kernel_properties(q: float, beta_sequence) -> dict:
     """Numerically check the five sufficient smoothing-kernel conditions (1-D).
 
     P1 scale identity, P2 piecewise differentiability (analytic gradient vs
     central differences, exact zero outside the cutoff for q < 1), P3 unit
     mass, P4 concentration of mass in [-0.5, 0.5] as beta shrinks, P5
     convergence of the smoothed cosine at 0. Failures are recorded in the
-    report, never raised.
+    report, never raised. The report is the JSON object that ``qsf
+    verify-kernel`` prints: ``q``, ``betas``, ``passed`` and ``properties``,
+    one {name, passed, discrepancy, detail} entry per property, P1..P5.
     """
     betas = tuple(float(b) for b in beta_sequence)
     if not betas:
@@ -427,14 +357,11 @@ def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
     worst1 = 0.0
     z_pts = np.linspace(-0.95 * z_edge, 0.95 * z_edge, 41)
     for b, spec_b in zip(betas, specs):
-        for z in z_pts:
-            x = b * z
-            lhs = pdf(x, spec_b)
-            rhs = pdf(z, std) / b
-            ref = max(abs(lhs), abs(rhs))
-            if ref > 0.0:
-                worst1 = max(worst1, abs(lhs - rhs) / ref)
-    p1 = PropertyCheck("P1-scale-identity", worst1 <= 1e-12, worst1, {"points": len(z_pts), "tol": 1e-12})
+        lhs, rhs = pdf(b * z_pts, spec_b), pdf(z_pts, std) / b
+        ref = np.maximum(lhs, rhs)
+        pos = ref > 0.0
+        worst1 = max(worst1, float(np.max(np.abs(lhs - rhs)[pos] / ref[pos], initial=0.0)))
+    p1 = _property("P1-scale-identity", worst1 <= 1e-12, worst1, {"points": len(z_pts), "tol": 1e-12})
 
     # P2: analytic gradient vs central differences inside the support; the
     # density and its gradient are exactly zero beyond the cutoff for q < 1.
@@ -448,19 +375,19 @@ def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
             x = b * z
             h = 1e-6 * b
             fd = (pdf(x + h, spec_b) - pdf(x - h, spec_b)) / (2.0 * h)
-            an = _grad_formula(x, q, b, spec_b)
+            an = _grad_formula(x, spec_b)
             ref = max(abs(an), abs(fd))
             if ref > 0.0:
                 worst2 = max(worst2, abs(an - fd) / ref)
         if compact:
             edge = b * (z_edge + 0.1)
-            if pdf(edge, spec_b) != 0.0 or _grad_formula(edge, q, b, spec_b) != 0.0:
+            if pdf(edge, spec_b) != 0.0 or _grad_formula(edge, spec_b) != 0.0:
                 outside_ok = False
     if compact:
         detail2["cutoff_detected"] = True
         detail2["cutoff_radius_std"] = z_edge
         detail2["zero_outside"] = outside_ok
-    p2 = PropertyCheck("P2-piecewise-differentiable", worst2 <= 1e-5 and outside_ok, worst2, detail2)
+    p2 = _property("P2-piecewise-differentiable", worst2 <= 1e-5 and outside_ok, worst2, detail2)
 
     # P3: unit mass at every beta.
     worst3 = 0.0
@@ -468,7 +395,7 @@ def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
         r = spec_b.radius
         mass = quad_checked(lambda x: pdf(x, spec_b), -r, r, atol=1e-12, rtol=1e-10)
         worst3 = max(worst3, abs(mass - 1.0))
-    p3 = PropertyCheck("P3-unit-mass", worst3 <= 1e-6, worst3, {"tol": 1e-6})
+    p3 = _property("P3-unit-mass", worst3 <= 1e-6, worst3, {"tol": 1e-6})
 
     # P4: mass outside a fixed ball shrinks toward 0 along the beta sequence.
     eps = 0.5
@@ -481,7 +408,7 @@ def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
     # non-increase plus at least a halving over the whole sequence
     dec4 = all(b2 <= b1 for b1, b2 in zip(outside_mass, outside_mass[1:]))
     conc4 = outside_mass[-1] <= 0.5 * outside_mass[0] + 1e-15
-    p4 = PropertyCheck(
+    p4 = _property(
         "P4-concentration",
         dec4 and conc4,
         outside_mass[-1],
@@ -502,14 +429,16 @@ def verify_kernel_properties(q: float, beta_sequence) -> KernelPropertyReport:
     dec5 = converged and all(e2 < e1 for e1, e2 in zip(errors5, errors5[1:]))
     strict = q < 5.0 / 3.0
     pass5 = dec5 and (errors5[-1] < 1e-3 if strict else True)
-    p5 = PropertyCheck(
+    p5 = _property(
         "P5-smoothing-limit",
         pass5,
         errors5[-1] if converged else math.inf,
         {"errors": errors5, "strict_threshold": strict},
     )
 
-    return KernelPropertyReport(q=q, betas=betas, checks=(p1, p2, p3, p4, p5))
+    props = [p1, p2, p3, p4, p5]
+    return {"q": q, "betas": list(betas), "passed": all(p["passed"] for p in props),
+            "properties": props}
 
 
 def _smoothed_cos_at_zero(q: float, beta: float, std: QGaussianSpec, z_edge: float) -> float:
@@ -521,28 +450,23 @@ def _smoothed_cos_at_zero(q: float, beta: float, std: QGaussianSpec, z_edge: flo
 
 
 def qgauss_invariants(q: float, beta: float, dims: list[int], rng: RngStream) -> list[tuple[str, bool, str]]:
-    """(name, passed, detail) rows of ``qsf qgauss verify`` for one (q, beta)."""
+    """(name, passed, detail) rows of ``qsf qgauss verify`` for one (q, beta);
+    the caller checks q, beta and every dim first."""
     checks = []
     for dim in dims:
         label = f"q={q:g} beta={beta:g} dim={dim}"
-        check_size("dim", dim)
         if q > 1.0 and q >= max_normalizable_q(dim):
             checks.append((f"normalization {label}", True, "skipped: density not integrable"))
             continue
         spec = QGaussianSpec(q, beta, dim)
-        mass = radial_integral(
-            lambda r: pdf(np.concatenate([[r], np.zeros(dim - 1)]), spec), dim, spec.radius
-        )
+        mass = radial_integral(lambda r: radial_pdf(r * r, spec), dim, spec.radius)
         checks.append((f"normalization {label}", abs(mass - 1.0) < 1e-6, f"mass={mass:.9f}"))
     # scale identity against the standard density
     spec_b = QGaussianSpec(q, beta, 1)
     std = QGaussianSpec(q, 1.0, 1)
     zs = np.linspace(-0.9, 0.9, 9) * (cutoff_radius(q) if q < 1 else 4.0)
-    worst = max(
-        abs(pdf(beta * z, spec_b) - pdf(z, std) / beta)
-        / max(pdf(z, std) / beta, 1e-300)
-        for z in zs
-    )
+    rhs = pdf(zs, std) / beta
+    worst = float(np.max(np.abs(pdf(beta * zs, spec_b) - rhs) / np.maximum(rhs, 1e-300)))
     checks.append((f"scale-identity q={q:g} beta={beta:g}", worst < 1e-12, f"rel={worst:.2e}"))
     # sampler distribution smoke test
     draws = sample_batch(rng.child("ks", str(q), str(beta)), q, 20000)

@@ -18,6 +18,10 @@ Sampling uses the generalized Box-Muller transform: with q' = (1+q)/(3-q),
 has exactly the standard (beta = 1) density above; at q = 1 this is
 the classical Box-Muller transform. Density evaluation lives in qsf.oracles.
 
+:func:`weight_base` is the one copy of the bracket 1 - (1-q)/((3-q) beta^2) |x|^2:
+the density raises it to 1/(1-q), and the estimator weight of qsf.sfgrad and
+qsf.optimizer is its reciprocal at beta = 1, w(eta) = 1 / weight_base(|eta|^2, q).
+
 :class:`QGaussianSpec` holds the kernel's rules: every (q, beta, N) that the
 package takes is checked by building one.
 
@@ -94,6 +98,12 @@ def _q_log_array(x: np.ndarray, q: float) -> np.ndarray:
     if q == 1.0:
         return np.log(x)
     return (x ** (1.0 - q) - 1.0) / (1.0 - q)
+
+
+def weight_base(r2, q, beta: float = 1.0):
+    """The bracket 1 - (1-q)/((3-q) beta^2) * r2 at squared radius r2; q may be
+    an array that broadcasts against r2."""
+    return 1.0 - ((1.0 - q) / ((3.0 - q) * beta * beta)) * r2
 
 
 def cutoff_radius(q: float, beta: float = 1.0) -> float:

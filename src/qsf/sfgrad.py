@@ -8,7 +8,7 @@ The gradient of the smoothed cost can be written as an expectation over the
 same perturbations, which yields the estimator
 
     (1/(beta M)) sum_n  z(n) * J(theta + beta z(n)) * w(z(n)),
-    w(z) = 1 / (1 - (1-q)/(3-q) |z|^2),
+    w(z) = 1 / (1 - (1-q)/(3-q) |z|^2) = 1 / qgauss.weight_base(|z|^2, q),
 
 whose mean, for z drawn from the joint dim-variate density, converges
 (beta -> 0) to ((3-q)/2) * grad J(theta) in every dimension. The positive
@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError
-from .qgauss import ARRAY_BLOCK, QGaussianSpec, check_size, sample_matrix
+from .qgauss import ARRAY_BLOCK, QGaussianSpec, check_size, sample_matrix, weight_base
 from .rng import RngStream
 
 
@@ -97,12 +97,11 @@ def estimate_gradient(
     else:
         fv = np.fromiter((f(p) for p in pts), dtype=float, count=m)
     del pts
-    k = (1.0 - cfg.q) / (3.0 - cfg.q)
     total = np.zeros(cfg.dim)
     comp = np.zeros(cfg.dim)
     for s in range(0, m, ARRAY_BLOCK):
         terms = zs[s : s + ARRAY_BLOCK]  # a view: zs becomes the terms block by block
-        weights = 1.0 / (1.0 - k * np.einsum("ij,ij->i", terms, terms))
+        weights = 1.0 / weight_base(np.einsum("ij,ij->i", terms, terms), cfg.q)
         terms *= (fv[s : s + ARRAY_BLOCK] * weights / cfg.beta)[:, None]
         # Summing a C-contiguous block over axis 0 adds it row after row into
         # each column, the bits of a Python row loop, not a pairwise sum;

@@ -67,12 +67,13 @@ def test_criterion_1_kernel_validity():
     ok = True
     for q in Q_GRID:
         report = verify_kernel_properties(q, BETA_SEQ)
-        ok = ok and report.passed
-        worst["P1"] = max(worst["P1"], report.check("P1-scale-identity").discrepancy)
-        worst["P3"] = max(worst["P3"], report.check("P3-unit-mass").discrepancy)
+        ok = ok and report["passed"]
+        props = {p["name"]: p for p in report["properties"]}
+        worst["P1"] = max(worst["P1"], props["P1-scale-identity"]["discrepancy"])
+        worst["P3"] = max(worst["P3"], props["P3-unit-mass"]["discrepancy"])
         if q < 5.0 / 3.0:
-            worst["P5"] = max(worst["P5"], report.check("P5-smoothing-limit").detail["errors"][-1])
-        assert report.passed, f"kernel property failure at q={q}: {report.to_dict()}"
+            worst["P5"] = max(worst["P5"], props["P5-smoothing-limit"]["detail"]["errors"][-1])
+        assert report["passed"], f"kernel property failure at q={q}: {report}"
     ok = ok and worst["P1"] <= 1e-12 and worst["P3"] <= 1e-6 and worst["P5"] < 1e-3
     announce(
         1, "kernel validity",

@@ -106,6 +106,8 @@ BAD_ARGUMENTS = [
     (["qgauss", "verify", "--q", "1.5", "--dims", "0"], "dim must be an integer >= 1"),
     (["verify-kernel", "--q", "0.5", "--betas", "inf,0.1"], "beta must be finite and > 0"),
     (["verify-kernel", "--q=-inf", "--betas", "0.5,0.1"], "q must be finite and < 3"),
+    # a bad q after a good one is refused before any check runs
+    (["qgauss", "verify", "--q", "0.5,3.5", "--dims", "1"], "q must be finite and < 3"),
 ]
 
 
@@ -113,8 +115,9 @@ BAD_ARGUMENTS = [
                                           for i, (argv, message) in enumerate(BAD_ARGUMENTS)])
 def test_bad_arguments_report_error(argv, message, capsys):
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and message in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from qsf import qgauss
+from qsf.errors import QuadratureError
 from qsf.oracles import (
     lambda_q,
     normalizing_constant,
     pdf,
-    pdf_batch,
     q_expectation,
     quadrature_cdf,
     radial_integral,
+    radial_pdf,
     tsallis_entropy,
 )
 from qsf.qgauss import (
@@ -188,6 +190,35 @@ def test_pdf_examples():
 def test_pdf_dimension_mismatch():
     with pytest.raises(ValueError):
         pdf(np.zeros(3), QGaussianSpec(1.5, dim=2))
+    with pytest.raises(ValueError):
+        pdf(np.zeros((4, 3)), QGaussianSpec(1.5, dim=2))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 1.0, 1.2, 1.5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pdf_vectorized_matches_per_point(q, dim):
+    if q >= max_normalizable_q(dim):
+        pytest.skip("density not integrable for this (q, dim)")
+    spec = QGaussianSpec(q, 0.7, dim)
+    pts = np.random.default_rng(11).normal(scale=2.0, size=(40, dim))
+    edge = spec.radius if q < 1.0 else 50.0
+    # points on an axis at the first float beyond the radius and further out
+    for r in (math.nextafter(edge, math.inf), 1.5 * edge, 1e3 * edge):
+        pts = np.vstack([pts, np.eye(dim)[:1] * r, -np.eye(dim)[-1:] * r])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning anywhere
+        whole = pdf(pts if dim > 1 else pts[:, 0], spec)
+        each = [pdf(p if dim > 1 else p[0], spec) for p in pts]
+    assert whole.shape == (len(pts),)
+    assert all(type(v) is float for v in each)
+    assert whole.tolist() == each
+    assert not np.isnan(whole).any()
+    if q < 1.0:
+        assert (whole[-6:] == 0.0).all() and (whole[:40] > 0.0).any()
+    # dim-1 points keep any shape; in every dim the radial density agrees
+    if dim == 1:
+        assert np.array_equal(pdf(pts[:, 0].reshape(2, -1), spec), whole.reshape(2, -1))
+    assert np.array_equal(radial_pdf((pts * pts).sum(axis=1), spec), whole)
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -198,9 +229,7 @@ def test_normalization_grid(q, beta, dim):
         pytest.skip("density not integrable for this (q, dim)")
     spec = QGaussianSpec(q, beta, dim)
     r_max = cutoff_radius(q, beta) if q < 1.0 else math.inf
-    mass = radial_integral(
-        lambda r: pdf(np.concatenate([[r], np.zeros(dim - 1)]), spec), dim, r_max
-    )
+    mass = radial_integral(lambda r: radial_pdf(r * r, spec), dim, r_max)
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
@@ -238,9 +267,9 @@ def test_scale_family(q):
 
 def test_gaussian_continuity_in_q():
     xs = np.linspace(-6.0, 6.0, 301)
-    exact = pdf_batch(xs, QGaussianSpec(1.0))
+    exact = pdf(xs, QGaussianSpec(1.0))
     for q in (1.0 - 1e-4, 1.0 + 1e-4):
-        vals = pdf_batch(xs, QGaussianSpec(q))
+        vals = pdf(xs, QGaussianSpec(q))
         assert np.max(np.abs(vals - exact)) < 1e-3
 
 
@@ -617,6 +646,15 @@ def test_q_expectation_dim2():
     assert oracle == pytest.approx(3.0, rel=1e-9)
     val = q_expectation(lambda v: float(v @ v), QGaussianSpec(1.5, dim=2))
     assert val == pytest.approx(oracle, rel=1e-6)
+
+
+def test_q_expectation_dim2_refuses_unconverged_quadrature():
+    # The escort density falls as |v|^(-2q/(q-1)), so E|v|^4 at q = 1.9 and
+    # E|v|^6 at q = 1.5 diverge in dim 2; an unchecked double quadrature
+    # returned 7.4e9 and -2.7e3 for them. Both raise instead.
+    for q, power in ((1.9, 2), (1.5, 3)):
+        with pytest.raises(QuadratureError):
+            q_expectation(lambda v: float(v @ v) ** power, QGaussianSpec(q, dim=2))
 
 
 def test_q_expectation_refuses_dim_three():

@@ -11,7 +11,6 @@ import pytest
 
 from qsf.errors import ConvergenceError, QuadratureError
 from qsf.oracles import (
-    KernelPropertyReport,
     escort_identity_check,
     lambda_q,
     q_expectation,
@@ -268,41 +267,48 @@ def test_escort_identity_dim2():
 # kernel property verification
 
 
+def properties(report: dict) -> dict:
+    """The report's property entries by name."""
+    return {p["name"]: p for p in report["properties"]}
+
+
 def test_kernel_report_passes_heavy_tail():
     report = verify_kernel_properties(1.5, BETAS)
-    assert report.passed
-    assert len(report.checks) == 5
-    assert report.check("P1-scale-identity").discrepancy <= 1e-12
-    assert report.check("P3-unit-mass").discrepancy <= 1e-6
-    assert report.check("P5-smoothing-limit").discrepancy < 1e-3
+    assert report["passed"]
+    props = properties(report)
+    assert len(props) == 5
+    assert props["P1-scale-identity"]["discrepancy"] <= 1e-12
+    assert props["P3-unit-mass"]["discrepancy"] <= 1e-6
+    assert props["P5-smoothing-limit"]["discrepancy"] < 1e-3
 
 
 def test_kernel_report_detects_cutoff():
     report = verify_kernel_properties(0.5, BETAS)
-    assert report.passed
-    p2 = report.check("P2-piecewise-differentiable")
-    assert p2.detail["cutoff_detected"]
-    assert p2.detail["zero_outside"]
-    assert p2.detail["cutoff_radius_std"] == pytest.approx(math.sqrt(5.0), rel=1e-12)
+    assert report["passed"]
+    p2 = properties(report)["P2-piecewise-differentiable"]
+    assert p2["detail"]["cutoff_detected"]
+    assert p2["detail"]["zero_outside"]
+    assert p2["detail"]["cutoff_radius_std"] == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
 def test_kernel_report_gaussian_baseline():
     report = verify_kernel_properties(1.0, BETAS)
-    assert report.passed
+    assert report["passed"]
     # Gaussian smoothing of cos has the closed form exp(-beta^2/2)
-    errs = report.check("P5-smoothing-limit").detail["errors"]
+    errs = properties(report)["P5-smoothing-limit"]["detail"]["errors"]
     for beta, err in zip(BETAS, errs):
         assert err == pytest.approx(1.0 - math.exp(-beta * beta / 2.0), rel=1e-6)
 
 
 def test_kernel_report_serializes():
     report = verify_kernel_properties(0.9, (0.5, 0.1))
-    d = report.to_dict()
-    assert d["q"] == 0.9
-    assert len(d["properties"]) == 5
+    assert list(report) == ["q", "betas", "passed", "properties"]
+    assert report["q"] == 0.9 and report["betas"] == [0.5, 0.1]
+    assert [list(p) for p in report["properties"]] == [
+        ["name", "passed", "discrepancy", "detail"]] * 5
     import json
 
-    json.dumps(d)
+    json.dumps(report)
 
 
 def test_kernel_report_validates_inputs():
@@ -313,8 +319,6 @@ def test_kernel_report_validates_inputs():
     for q, betas in ((0.5, (math.inf, 0.1)), (0.5, (0.5, 0.0)), (-math.inf, (0.5, 0.1)), (0.5, ())):
         with pytest.raises(ValueError):
             verify_kernel_properties(q, betas)
-    with pytest.raises(ValueError):
-        KernelPropertyReport(q=1.5, betas=(0.1,), checks=())
 
 
 # ---------------------------------------------------------------------------
