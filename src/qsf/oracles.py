@@ -8,6 +8,7 @@ run path needs only NumPy. The quadrature helpers wrap QUADPACK
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable
@@ -130,8 +131,13 @@ def panel_cumulative(density: Callable[[np.ndarray], np.ndarray], grid: np.ndarr
     return out
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def normalizing_constant(q: float, dim: int) -> float:
     """K_{q,N}: the constant making the standard (beta=1) density integrate to 1.
+
+    Memoized per (q, dim), typed, so that ``dim=True`` is not served the
+    value of ``dim=1``; a refused pair raises on every call, as
+    ``lru_cache`` keeps no exception.
 
     Closed forms via log-gamma:
         q < 1:      (pi (3-q)/(1-q))^(N/2) * G(a+1) / G(a+1+N/2),  a = 1/(1-q)

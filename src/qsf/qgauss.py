@@ -25,11 +25,13 @@ qsf.optimizer is its reciprocal at beta = 1, w(eta) = 1 / weight_base(|eta|^2, q
 :class:`QGaussianSpec` holds the kernel's rules: every (q, beta, N) that the
 package takes is checked by building one.
 
-:func:`sample_batch` holds two full-size arrays at its peak, the uniforms
-U1 and U2: it transforms them ARRAY_BLOCK = 65,536 values at a time, writes
-each block of draws back over its U1 block, and looks for draws on the
-q < 1 support boundary block by block too. The transform and the boundary
-test are elementwise, so the draws have the bits of a whole-array transform.
+:func:`sample_batch` holds one full-size array at its peak, the first uniform
+array U1, which the draws overwrite: it reads the second, U2, from the stream
+ARRAY_BLOCK = 65,536 values at a time, transforms each block against its
+block of U1, and looks for draws on the q < 1 support boundary block by
+block too. The transform and the boundary test are elementwise, and the
+stream yields the same values whatever the request sizes, so the draws and
+the values read have the bits of a whole-array transform.
 """
 
 from __future__ import annotations
@@ -118,24 +120,34 @@ def max_normalizable_q(dim: int) -> float:
     return 1.0 + 2.0 / dim
 
 
-def _box_muller_transform(u1: np.ndarray, u2: np.ndarray, q_prime: float) -> np.ndarray:
-    """Generalized Box-Muller draws from uniforms u1, u2 of one shape."""
-    r2 = -2.0 * _q_log_array(u1, q_prime)
+def _box_muller_transform(u1: np.ndarray, u2: np.ndarray, q: float) -> np.ndarray:
+    """Generalized Box-Muller draws of the q kernel from uniforms u1, u2 of
+    one shape; the one home of the index q' = (1+q)/(3-q)."""
+    r2 = -2.0 * _q_log_array(u1, (1.0 + q) / (3.0 - q))
     np.maximum(r2, 0.0, out=r2)  # guard rounding at u1 near the q'<1 cap
     return np.sqrt(r2) * np.cos(2.0 * math.pi * u2)
 
 
-def _box_muller(rng: RngStream, q_prime: float, n: int) -> np.ndarray:
+def _box_muller(rng: RngStream, q: float, n: int) -> np.ndarray:
     """n generalized Box-Muller draws, without the support-boundary redraw.
 
-    Each block of draws is written back over its block of the first uniform
-    array, which the call returns.
+    U1 is drawn whole, and each block of draws is written back over its
+    block of U1, which the call returns. U2 is read block by block with
+    ``rng.raw``. An exact zero in U2 is replaced, as ``random_array`` would
+    replace it, by a scalar draw made after the whole of U2, in index order;
+    its entry is transformed once that draw is made, from the U1 value kept
+    for it.
     """
     z = rng.random_array(n)
-    u2 = rng.random_array(n)
+    zeros = []  # (index, its u1) of each exact zero in U2
     for s in range(0, n, ARRAY_BLOCK):
         b = slice(s, s + ARRAY_BLOCK)
-        z[b] = _box_muller_transform(z[b], u2[b], q_prime)
+        u2 = rng.raw(min(ARRAY_BLOCK, n - s))
+        if not u2.all():
+            zeros += [(s + i, z[s + i]) for i in np.flatnonzero(u2 == 0.0).tolist()]
+        z[b] = _box_muller_transform(z[b], u2, q)
+    for i, u1 in zeros:
+        z[i] = _box_muller_transform(np.array([u1]), np.array([rng.random()]), q)[0]
     return z
 
 
@@ -155,13 +167,12 @@ def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
     redrawn so downstream estimator weights stay finite.
     """
     radius = QGaussianSpec(q).radius
-    q_prime = (1.0 + q) / (3.0 - q)
-    z = _box_muller(rng, q_prime, n)
+    z = _box_muller(rng, q, n)
     if q >= 1.0:
         return z
     pending = _near_boundary(z, radius)
     while pending.size:
-        redraw = _box_muller(rng, q_prime, pending.size)
+        redraw = _box_muller(rng, q, pending.size)
         z[pending] = redraw
         pending = pending[_near_boundary(redraw, radius)]
     return z
@@ -205,7 +216,7 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     for q, ks in groups.items():
         u = raw[ks].transpose(2, 1, 0, 3).copy()  # u1 and u2, each (blocks, lanes, dim)
         with np.errstate(divide="ignore", invalid="ignore"):  # an exact zero in u1
-            z = _box_muller_transform(u[0], u[1], (1.0 + q) / (3.0 - q))
+            z = _box_muller_transform(u[0], u[1], q)
         out[:, ks] = z
         if q < 1.0:
             near = cutoff_radius(q) - np.abs(z) < BOUNDARY_MARGIN

@@ -17,17 +17,15 @@ factor is left in, as it does not change descent directions; it is not
 The sampler draws the components of z i.i.d., not from the joint law, so
 for dim > 1 and q != 1 the estimator is biased.
 
-:func:`estimate_gradient` holds at its peak the perturbations ``zs``, the
-perturbed points and the costs ``fv``, the output of the one ``f`` call
-(2.25 times the size of ``zs`` in dim 4). The points are freed once ``f``
-has run; the weights and the terms z * f * w / beta are then built block by
-block, ``qgauss.ARRAY_BLOCK`` rows at a time, over ``zs`` itself, and each
-block's column sum goes into one Kahan-compensated total. The standard
-error runs the steps of ``zs.std(axis=0)`` in place over the terms, so
-nothing of M rows is allocated after ``f`` has run. Every step is
-elementwise, a sum over the same 65,536-row blocks as a whole-array
-computation, or the same ufunc sequence as ``std``, so the estimate and its
-standard error keep their bits.
+:func:`estimate_gradient` holds one array of M rows, the perturbations
+``zs``, and makes one pass over it, ``qgauss.ARRAY_BLOCK`` rows at a time:
+each block's perturbed points go to ``f``, and the costs and weights turn
+the block into its terms z * f * w / beta in place. Each block's column sum
+goes into one Kahan-compensated total. The standard error runs the steps of
+``zs.std(axis=0)`` in place over the terms. Every step is elementwise, a sum
+over the same 65,536-row blocks as a whole-array computation, or the same
+ufunc sequence as ``std``, so the estimate and its standard error keep the
+bits of whole-array steps.
 """
 
 from __future__ import annotations
@@ -78,31 +76,34 @@ def estimate_gradient(
 
     In dim 1 the mean tends (beta -> 0) to ((3-q)/2) * grad f(theta). The
     i.i.d. component draws make it biased for dim > 1 when q != 1.
-    ``f`` is evaluated once at each perturbed point (it may be a noisy
-    oracle); pass ``vectorized=True`` when f maps an (n, dim) array to n
-    values, shape (n,): any other shape raises ValueError. Deterministic
-    for a given rng.
+    ``f`` is evaluated once at each perturbed point, in row order (it may be
+    a noisy oracle). The points are built and evaluated one block of
+    ``qgauss.ARRAY_BLOCK`` rows at a time: pass ``vectorized=True`` when f
+    maps an (n, dim) array to n values, shape (n,), and it is called once
+    per block; any other shape raises ValueError. Deterministic for a given
+    rng.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (cfg.dim,):
         raise ValueError(f"theta must have shape ({cfg.dim},), got {theta.shape}")
     m = cfg.num_perturbations
     zs = sample_matrix(rng, cfg.q, m, cfg.dim)
-    pts = cfg.beta * zs
-    pts += theta
-    if vectorized:
-        fv = np.asarray(f(pts), dtype=float)
-        if fv.shape != (m,):
-            raise ValueError(f"a vectorized f must return shape ({m},), got {fv.shape}")
-    else:
-        fv = np.fromiter((f(p) for p in pts), dtype=float, count=m)
-    del pts
     total = np.zeros(cfg.dim)
     comp = np.zeros(cfg.dim)
     for s in range(0, m, ARRAY_BLOCK):
         terms = zs[s : s + ARRAY_BLOCK]  # a view: zs becomes the terms block by block
+        rows = len(terms)
+        pts = cfg.beta * terms
+        pts += theta
+        if vectorized:
+            fv = np.asarray(f(pts), dtype=float)
+            if fv.shape != (rows,):
+                raise ValueError(f"a vectorized f must return shape ({rows},), got {fv.shape}")
+        else:
+            fv = np.fromiter((f(p) for p in pts), dtype=float, count=rows)
+        del pts  # before the next block's points are built
         weights = 1.0 / weight_base(np.einsum("ij,ij->i", terms, terms), cfg.q)
-        terms *= (fv[s : s + ARRAY_BLOCK] * weights / cfg.beta)[:, None]
+        terms *= (fv * weights / cfg.beta)[:, None]
         # Summing a C-contiguous block over axis 0 adds it row after row into
         # each column, the bits of a Python row loop, not a pairwise sum;
         # Kahan compensation runs across the blocks.
