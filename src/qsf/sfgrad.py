@@ -51,8 +51,7 @@ class GradEstimatorConfig:
     num_perturbations: int  # perturbation count M
 
     def __post_init__(self):
-        QGaussianSpec(self.q, self.beta)
-        check_size("dim", self.dim)
+        QGaussianSpec(self.q, self.beta, self.dim)
         check_size("num_perturbations", self.num_perturbations)
 
 

@@ -29,9 +29,9 @@ from qsf.optimizer import (
     run_qsf,
 )
 from qsf.oracles import (
+    cdf,
     escort_identity_check,
     lambda_q,
-    quadrature_cdf,
     smoothed_gradient_1d,
     verify_kernel_properties,
 )
@@ -87,10 +87,10 @@ def test_criterion_1_kernel_validity():
 def test_criterion_2_sampler_correctness():
     failures = 0
     for qi, q in enumerate(Q_GRID):
-        cdf = quadrature_cdf(QGaussianSpec(q))
+        spec = QGaussianSpec(q)
         for seed in range(5):
             z = sample_batch(RngStream(8800 + seed, qi), q, 100_000)
-            if stats.kstest(z, cdf).pvalue <= 0.01:
+            if stats.kstest(z, lambda x: cdf(x, spec)).pvalue <= 0.01:
                 failures += 1
             if q < 1.0:
                 assert int(np.sum(np.abs(z) >= cutoff_radius(q))) == 0

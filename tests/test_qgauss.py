@@ -11,11 +11,13 @@ from scipy import integrate, stats
 from qsf import qgauss
 from qsf.errors import QuadratureError
 from qsf.oracles import (
+    cdf,
     lambda_q,
     normalizing_constant,
     pdf,
     q_expectation,
-    quadrature_cdf,
+    quad_checked,
+    radial_cdf,
     radial_integral,
     radial_pdf,
     tsallis_entropy,
@@ -486,7 +488,23 @@ def test_sampler_gaussian_limit_is_box_muller():
 @pytest.mark.parametrize("q", [0.5, 1.5, 2.5])
 def test_sampler_ks_against_quadrature_cdf(q):
     z = sample_batch(RngStream(77, int(10 * q)), q, 100000)
-    res = stats.kstest(z, quadrature_cdf(QGaussianSpec(q)))
+    res = stats.kstest(z, lambda x: cdf(x, QGaussianSpec(q)))
+    assert res.pvalue > 0.01
+
+
+# The sampler draws the components i.i.d., not from the joint law, so
+# |z|^2 misses the radial law for q != 1 in dim >= 2.
+JOINT_LAW_FAULT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="i.i.d. components are not the joint law (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("q", [pytest.param(q, marks=JOINT_LAW_FAULT) for q in (0.5, 0.9, 1.2)]
+                         + [1.0])
+def test_sample_matrix_radial_law(q, dim):
+    z = sample_matrix(RngStream(78 + dim, int(10 * q)), q, 100000, dim)
+    res = stats.kstest((z * z).sum(axis=1), lambda r2: radial_cdf(r2, QGaussianSpec(q, dim=dim)))
     assert res.pvalue > 0.01
 
 
@@ -679,18 +697,50 @@ def test_sample_lanes_refusal_leaves_the_streams_unread():
             assert lane.raw(8).tobytes() == RngStream(75, k).raw(8).tobytes()
 
 
-def test_quadrature_cdf_matches_student_t():
+def test_cdf_matches_student_t():
     # the q > 1 family coincides with a unit-scale Student-t with
     # nu = (3-q)/(q-1) degrees of freedom; q=1.5 gives nu=3
-    cdf = quadrature_cdf(QGaussianSpec(1.5))
     xs = np.array([-8.0, -2.0, -0.5, 0.0, 0.3, 1.7, 12.0])
-    assert np.allclose(cdf(xs), stats.t(df=3).cdf(xs), atol=5e-9)
+    assert np.allclose(cdf(xs, QGaussianSpec(1.5)), stats.t(df=3).cdf(xs), atol=5e-9)
 
 
-def test_quadrature_cdf_matches_normal_at_q1():
-    cdf = quadrature_cdf(QGaussianSpec(1.0))
+def test_cdf_matches_normal_at_q1():
     xs = np.linspace(-5, 5, 41)
-    assert np.allclose(cdf(xs), stats.norm.cdf(xs), atol=5e-9)
+    assert np.allclose(cdf(xs, QGaussianSpec(1.0)), stats.norm.cdf(xs), atol=5e-9)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 1.0, 1.2, 1.5, 2.0, 2.5])
+@pytest.mark.parametrize("beta", [1.0, 0.3])
+def test_cdf_matches_quadrature_of_pdf(q, beta):
+    spec = QGaussianSpec(q, beta)
+    lo = -spec.radius
+    edge = spec.radius if q < 1.0 else 30.0 * beta
+    xs = np.linspace(-0.999, 0.999, 11) * edge
+    for x in xs:
+        want = quad_checked(lambda t: pdf(t, spec), lo, x, atol=1e-12, rtol=1e-11)
+        assert cdf(x, spec) == pytest.approx(want, abs=1e-9)
+    assert np.array_equal(cdf(xs, spec), [cdf(x, spec) for x in xs])
+    if q < 1.0:
+        r = spec.radius
+        beyond = np.array([r, math.nextafter(r, math.inf), 2.0 * r, math.inf])
+        assert np.all(cdf(beyond, spec) == 1.0)
+        assert np.all(cdf(-beyond, spec) == 0.0)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 1.0, 1.2, 1.5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_radial_cdf_matches_radial_integral(q, dim):
+    spec = QGaussianSpec(q, 0.3, dim)
+    edge = spec.radius if q < 1.0 else 30.0 * spec.beta
+    for r in np.linspace(0.0, 0.999, 9) * edge:
+        want = radial_integral(lambda s: radial_pdf(s * s, spec), dim, r, atol=1e-12, rtol=1e-11)
+        assert radial_cdf(r * r, spec) == pytest.approx(want, abs=1e-9)
+    assert radial_cdf(math.inf, spec) == 1.0
+
+
+def test_cdf_refuses_dim_two():
+    with pytest.raises(ValueError, match="radial_cdf"):
+        cdf(0.0, QGaussianSpec(0.5, dim=2))
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +830,13 @@ def test_lambda_q_multivariate_closed_form(q, dim):
 def test_lambda_q_rejects_nonintegrable_dim():
     with pytest.raises(ValueError):
         lambda_q(2.0, 2)
+
+
+def test_lambda_q_checks_dim_at_q1():
+    # the q = 1 value is known, but the dimension is checked all the same
+    for dim in BAD_DIM + (-3, 2.5):
+        with pytest.raises(ValueError, match="dim must be"):
+            lambda_q(1.0, dim)
 
 
 @pytest.mark.parametrize("q", [0.5, 1.5, 2.0, 2.5])
