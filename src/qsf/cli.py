@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -32,13 +31,6 @@ def _floats(text: str) -> list[float]:
     return values
 
 
-def _sweep_rows(records) -> list:
-    """Records in sweep.csv order as comparable rows: no wall time, NaN as None."""
-    rows = sorted(records, key=lambda r: (r.q, r.beta, r.trial))
-    return [(r.q, r.beta, r.trial, None if math.isnan(r.final_distance) else r.final_distance,
-             r.diverged, r.boundary_stuck) for r in rows]
-
-
 def _cmd_run(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
@@ -51,7 +43,8 @@ def _cmd_run(args) -> int:
     harness.write_timings_csv(result, os.path.join(out_dir, "timings.csv"))
     harness.summarize(result, out_dir)
     # Self-check: sweep.csv must read back as exactly the records of the run.
-    if _sweep_rows(harness.read_sweep_csv(sweep_path, cfg).records) != _sweep_rows(result.records):
+    back = harness.read_sweep_csv(sweep_path, cfg)
+    if harness.sweep_rows(back.records) != harness.sweep_rows(result.records):
         print(f"self-check failed: {sweep_path} does not read back as the run's records",
               file=sys.stderr)
         return 1

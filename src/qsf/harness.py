@@ -6,10 +6,12 @@ results are reproducible and independent of how many workers execute them.
 The performance measure per trial is the Euclidean distance between the final
 parameter vector and the service-time target.
 
-File outputs: ``sweep.csv`` (one row per trial, deterministic bytes),
-``summary.csv`` / ``summary_stderr.csv`` (q rows by beta columns),
-``timings.csv`` (wall times, excluded from the determinism guarantee), and
-``trace_*.csv`` distance curves for single traced runs.
+A sweep's results are its :class:`SweepResult`. File outputs: ``sweep.csv``
+(``SWEEP_HEADER``, then :func:`sweep_rows`: one row per trial in (q, beta,
+trial) order, deterministic bytes), ``summary.csv`` / ``summary_stderr.csv``
+(q rows by beta columns, both ascending), ``timings.csv`` (wall times, excluded
+from the determinism guarantee), and ``trace_*.csv`` distance curves for
+single traced runs.
 
 The sweep runs its cells in lane batches of at most ``LANE_BATCH`` trials:
 each batch is one :func:`qsf.optimizer.run_lanes` call, so its per-block
@@ -94,71 +96,61 @@ class TrialRecord:
     wall_time: float
 
 
-# One row per trial: TrialRecord's fields in their order, with q and beta as
-# indices into tables of their distinct values; 30 bytes a trial.
-_ROW = np.dtype([("q", "i4"), ("beta", "i4"), ("trial", "i4"), ("final_distance", "f8"),
+# One row per trial: TrialRecord's fields in their order, 38 bytes a trial
+# where a TrialRecord takes about 140. The benchmark (perfbench) keeps every
+# round's result, so results are kept as rows; float64 keeps each q and beta
+# bit for bit, -0.0 included.
+_ROW = np.dtype([("q", "f8"), ("beta", "f8"), ("trial", "i4"), ("final_distance", "f8"),
                  ("diverged", "?"), ("boundary_stuck", "?"), ("wall_time", "f8")])
 
 
-def _value_table(values) -> tuple:
-    """The index of each value in a table of the distinct values, and that
-    table; -0.0 and 0.0 get entries of their own, so every value keeps its bits."""
-    index = {}
-    codes = [index.setdefault((v, math.copysign(1.0, v)), len(index)) for v in values]
-    return codes, np.array([v for v, _ in index], dtype=float)
-
-
 class SweepResult:
-    """The trial records of a sweep, kept as one structured array (_ROW);
-    ``records`` rebuilds the TrialRecord list."""
+    """The config of a sweep and its trial records, in the order given, kept
+    as rows of _ROW; ``records`` builds the TrialRecords."""
 
-    __slots__ = ("config", "_rows", "_qs", "_betas")
+    __slots__ = ("config", "_rows")
 
-    def __init__(self, config: ExperimentConfig, records: list):
+    def __init__(self, config: ExperimentConfig, records):
         self.config = config
-        q_codes, self._qs = _value_table([r.q for r in records])
-        beta_codes, self._betas = _value_table([r.beta for r in records])
-        self._rows = np.array(
-            [(qc, bc, r.trial, r.final_distance, r.diverged, r.boundary_stuck, r.wall_time)
-             for qc, bc, r in zip(q_codes, beta_codes, records)], dtype=_ROW)
+        self._rows = np.array([tuple(getattr(r, name) for name in _ROW.names) for r in records], _ROW)
 
     @property
     def records(self) -> list:
-        rows = self._rows
-        return [TrialRecord(*row) for row in zip(
-            self._qs[rows["q"]].tolist(), self._betas[rows["beta"]].tolist(), rows["trial"].tolist(),
-            rows["final_distance"].tolist(), rows["diverged"].tolist(),
-            rows["boundary_stuck"].tolist(), rows["wall_time"].tolist())]
-
-    def _cell(self, q: float, beta: float) -> np.ndarray:
-        rows = self._rows
-        return rows[(self._qs == q)[rows["q"]] & (self._betas == beta)[rows["beta"]]]
+        return [TrialRecord(*row) for row in self._rows.tolist()]
 
     def cell_mean(self, q: float, beta: float) -> float:
-        return _mean(_distances(self._cell(q, beta)))
+        return _mean(_distances(_cells(self.records).get((q, beta), ())))
 
 
-# Statistics of one cell's rows, as SweepResult._cell returns them.
+def _cells(records) -> dict:
+    """The records of each (q, beta) cell, in record order."""
+    cells = {}
+    for r in records:
+        cells.setdefault((r.q, r.beta), []).append(r)
+    return cells
 
-def _distances(cell: np.ndarray) -> np.ndarray:
+
+# Statistics of one cell's records, as _cells groups them.
+
+def _distances(cell) -> list:
     """The final distances of the cell's trials that did not diverge."""
-    return cell["final_distance"][~cell["diverged"]]
+    return [r.final_distance for r in cell if not r.diverged]
 
 
-def _mean(vals: np.ndarray) -> float:
-    return float(np.mean(vals)) if len(vals) else math.nan
+def _mean(vals: list) -> float:
+    return float(np.mean(vals)) if vals else math.nan
 
 
-def _stderr(vals: np.ndarray) -> float:
+def _stderr(vals: list) -> float:
     if len(vals) < 2:
         return math.nan
     return float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
 
 
-def _divergent(cell: np.ndarray) -> bool:
+def _divergent(cell) -> bool:
     """A summary cell counts as divergent when a majority of its trials
     tripped the tracker guard or finished stuck on the box boundary."""
-    return int(np.count_nonzero(cell["diverged"] | cell["boundary_stuck"])) > len(cell) / 2.0
+    return sum(r.diverged or r.boundary_stuck for r in cell) > len(cell) / 2.0
 
 
 def derive_cell_stream(base_seed: int, q_index: int, beta_index: int, trial: int) -> RngStream:
@@ -244,60 +236,83 @@ def trace_run(cfg: ExperimentConfig, q: float, beta: float, trial: int) -> RunTr
 # persistence
 
 
+# sweep.csv's format: this header, then one row per trial in (q, beta, trial)
+# order; repr round-trips every float, nan and -0.0 included.
+SWEEP_HEADER = "q,beta,trial,final_distance,diverged,boundary_stuck"
+
+
+def _file_order(records) -> list:
+    return sorted(records, key=lambda r: (r.q, r.beta, r.trial))
+
+
+def sweep_rows(records) -> list:
+    """The sweep.csv rows of ``records``, in file order, without newlines."""
+    return [f"{r.q!r},{r.beta!r},{r.trial},{r.final_distance!r},"
+            f"{int(r.diverged)},{int(r.boundary_stuck)}" for r in _file_order(records)]
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Trial-level records; bytes are deterministic for a given config+seed."""
-    rows = sorted(result.records, key=lambda r: (r.q, r.beta, r.trial))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("q,beta,trial,final_distance,diverged,boundary_stuck\n")
-        for r in rows:
-            fh.write(
-                f"{r.q!r},{r.beta!r},{r.trial},{r.final_distance!r},"
-                f"{int(r.diverged)},{int(r.boundary_stuck)}\n"
-            )
+        fh.write(SWEEP_HEADER + "\n")
+        for row in sweep_rows(result.records):
+            fh.write(row + "\n")
 
 
 def write_timings_csv(result: SweepResult, path) -> None:
     """Wall times per trial; informational only, not byte-reproducible."""
-    rows = sorted(result.records, key=lambda r: (r.q, r.beta, r.trial))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("q,beta,trial,wall_time_seconds\n")
-        for r in rows:
+        for r in _file_order(result.records):
             fh.write(f"{r.q!r},{r.beta!r},{r.trial},{r.wall_time:.3f}\n")
 
 
 def read_sweep_csv(path, config: ExperimentConfig | None = None) -> SweepResult:
-    records = []
+    """The records of a sweep.csv file, with nan wall times; a malformed row
+    is a ConfigError that names its line. Without ``config``, the grid is the
+    file's."""
+    rows = {}  # (q, beta, trial): its record
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "q,beta,trial,final_distance,diverged,boundary_stuck":
+        if header != SWEEP_HEADER:
             raise ConfigError(f"unrecognized sweep header in {path}: {header!r}")
-        for line in fh:
-            q, beta, trial, dist, div, stuck = line.strip().split(",")
-            records.append(
-                TrialRecord(
-                    float(q), float(beta), int(trial), float(dist),
-                    bool(int(div)), bool(int(stuck)), math.nan,
-                )
-            )
+        for n, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            try:
+                if len(fields) != 6:
+                    raise ValueError(f"expected 6 fields, got {len(fields)}")
+                q, beta, trial, dist, div, stuck = fields
+                if not {div, stuck} <= {"0", "1"}:
+                    raise ValueError(f"diverged and boundary_stuck must be 0 or 1: {div!r}, {stuck!r}")
+                key = (float(q), float(beta), int(trial))
+                if key in rows:
+                    raise ValueError(f"repeats q={key[0]!r}, beta={key[1]!r}, trial {key[2]}")
+                rows[key] = TrialRecord(*key, float(dist), div == "1", stuck == "1", math.nan)
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {n}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}, line 2: no trial rows after the header")
     if config is None:
-        qs = tuple(sorted({r.q for r in records}))
-        bs = tuple(sorted({r.beta for r in records}))
-        trials = max(r.trial for r in records) + 1 if records else 1
+        qs = tuple(sorted({q for q, _, _ in rows}))
+        bs = tuple(sorted({beta for _, beta, _ in rows}))
+        trials = max(trial for _, _, trial in rows) + 1
         config = ExperimentConfig(q_values=qs, beta_values=bs, trials=trials)
-    return SweepResult(config=config, records=records)
+    return SweepResult(config=config, records=rows.values())
 
 
 def summarize(result: SweepResult, output_dir=None) -> list:
-    """Mean-distance table, q rows by beta columns; majority-divergent cells
-    render as DIV. Optionally writes summary.csv and summary_stderr.csv."""
-    cfg = result.config
-    table = [["q\\beta"] + [f"{b:g}" for b in cfg.beta_values]]
+    """Mean-distance table, q rows by beta columns, both in ascending order
+    as in sweep.csv; majority-divergent cells render as DIV. Optionally
+    writes summary.csv and summary_stderr.csv."""
+    qs, betas = sorted(result.config.q_values), sorted(result.config.beta_values)
+    cells = _cells(result.records)
+    table = [["q\\beta"] + [f"{b:g}" for b in betas]]
     stderr_table = [table[0][:]]
-    for q in cfg.q_values:
+    for q in qs:
         row = [f"{q:g}"]
         erow = [f"{q:g}"]
-        for b in cfg.beta_values:
-            cell = result._cell(q, b)
+        for b in betas:
+            cell = cells.get((q, b), ())
             if _divergent(cell):
                 row.append("DIV")
                 erow.append("DIV")

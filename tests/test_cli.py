@@ -54,6 +54,43 @@ def test_summarize_subcommand(tiny_config_file, tmp_path, capsys):
     assert "q\\beta" in out
 
 
+def test_summarize_rebuilds_the_summaries_of_an_unsorted_grid(tmp_path):
+    # the summaries list q and beta ascending, as sweep.csv does, so the
+    # tables that run wrote come back byte for byte; -0.0 keeps its sign
+    config = tmp_path / "unsorted.json"
+    config.write_text(json.dumps({"q_values": [1.5, 0.9, -0.0], "beta_values": [0.25, 0.05],
+                                  "trials": 2, "base_seed": 99, "optimizer": {"M": 20, "L": 5}}))
+    out = tmp_path / "results"
+    assert main(["run", str(config), "--output-dir", str(out)]) == 0
+    sweep = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in sweep[1:5]] == ["-0.0"] * 4
+    names = ("summary.csv", "summary_stderr.csv")
+    written = [(out / name).read_bytes() for name in names]
+    rows = written[0].decode().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["q\\beta", "-0", "0.9", "1.5"]
+    assert main(["summarize", str(out)]) == 0
+    assert [(out / name).read_bytes() for name in names] == written
+
+
+# (rows after the header, what the error names)
+MALFORMED_SWEEPS = {
+    "short_row": ("0.9,0.25,0,1.5,0,0\n0.9,0.25\n", "line 3: expected 6 fields, got 2"),
+    "bad_flag": ("0.9,0.25,0,1.5,7,0\n", "line 2: diverged and boundary_stuck must be 0 or 1"),
+    "repeat": ("0.9,0.25,0,1.5,0,0\n0.9,0.25,0,2.5,0,0\n", "line 3: repeats q=0.9, beta=0.25, trial 0"),
+    "no_rows": ("", "line 2: no trial rows after the header"),
+}
+
+
+@pytest.mark.parametrize("rows,message", MALFORMED_SWEEPS.values(), ids=MALFORMED_SWEEPS.keys())
+def test_summarize_refuses_a_malformed_sweep(rows, message, tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    path.write_text(harness.SWEEP_HEADER + "\n" + rows)
+    assert main(["summarize", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {path}, {message}")
+    assert out == "" and not (tmp_path / "summary.csv").exists()
+
+
 def test_trace_subcommand(tiny_config_file, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["trace", str(tiny_config_file), "--q", "0.9", "--beta", "0.25",

@@ -227,17 +227,22 @@ def test_run_experiment_grid_and_summary(tmp_path):
 
 
 def test_sweep_csv_round_trip(tmp_path):
+    # every sweep.csv field of every record comes back, a diverged (nan)
+    # and a boundary-stuck record built by hand among them
     cfg = tiny_config()
     result = run_experiment(cfg)
+    result = SweepResult(cfg, result.records + [TrialRecord(0.9, 0.25, 2, math.nan, True, False, 0.0),
+                                                TrialRecord(0.9, 0.25, 3, 8.0, False, True, 0.0)])
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path)
     back = read_sweep_csv(path)
-    assert len(back.records) == len(result.records)
-    for a, b in zip(
-        sorted(result.records, key=lambda r: (r.q, r.beta, r.trial)), back.records
-    ):
-        assert a.final_distance == b.final_distance
-        assert a.diverged == b.diverged
+    assert len(back.records) == len(result.records) == 4
+    fields = ("q", "beta", "trial", "final_distance", "diverged", "boundary_stuck")
+    for a, b in zip(sorted(result.records, key=lambda r: (r.q, r.beta, r.trial)), back.records):
+        for name in fields:
+            x, y = getattr(a, name), getattr(b, name)
+            assert type(x) is type(y) and (x == y or (math.isnan(x) and math.isnan(y))), name
+    assert math.isnan(back.records[2].final_distance) and back.records[3].boundary_stuck
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):
