@@ -268,9 +268,9 @@ def write_timings_csv(result: SweepResult, path) -> None:
 
 
 def read_sweep_csv(path, config: ExperimentConfig | None = None) -> SweepResult:
-    """The records of a sweep.csv file, with nan wall times; a malformed row
-    is a ConfigError that names its line. Without ``config``, the grid is the
-    file's."""
+    """The records of a sweep.csv file, with nan wall times; a malformed row,
+    or one whose q, beta or trial is out of range, is a ConfigError that
+    names its line. Without ``config``, the grid is the file's."""
     rows = {}  # (q, beta, trial): its record
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -285,6 +285,9 @@ def read_sweep_csv(path, config: ExperimentConfig | None = None) -> SweepResult:
                 if not {div, stuck} <= {"0", "1"}:
                     raise ValueError(f"diverged and boundary_stuck must be 0 or 1: {div!r}, {stuck!r}")
                 key = (float(q), float(beta), int(trial))
+                QGaussianSpec(key[0], key[1])
+                if key[2] < 0:
+                    raise ValueError(f"trial must be an integer >= 0 (got {key[2]})")
                 if key in rows:
                     raise ValueError(f"repeats q={key[0]!r}, beta={key[1]!r}, trial {key[2]}")
                 rows[key] = TrialRecord(*key, float(dist), div == "1", stuck == "1", math.nan)

@@ -24,14 +24,6 @@ qsf.optimizer is its reciprocal at beta = 1, w(eta) = 1 / weight_base(|eta|^2, q
 
 :class:`QGaussianSpec` holds the kernel's rules: every (q, beta, N) that the
 package takes is checked by building one.
-
-:func:`sample_batch` holds one full-size array at its peak, the first uniform
-array U1, which the draws overwrite: it reads the second, U2, from the stream
-ARRAY_BLOCK = 65,536 values at a time, transforms each block against its
-block of U1, and looks for draws on the q < 1 support boundary block by
-block too. The transform and the boundary test are elementwise, and the
-stream yields the same values whatever the request sizes, so the draws and
-the values read have the bits of a whole-array transform.
 """
 
 from __future__ import annotations
@@ -48,10 +40,6 @@ from .rng import RngStream
 # draws are rejected and redrawn: the estimator weight 1/(1 - |z|^2/R^2-ish)
 # would overflow on the boundary shell.
 BOUNDARY_MARGIN = 1e-12
-
-# Values (qgauss) or rows (sfgrad) per block of full-size array work, 512 KB
-# of doubles. Fixed: the estimator's Kahan blocks, and so its bits, depend on it.
-ARRAY_BLOCK = 65536
 
 
 def check_size(name: str, value) -> None:
@@ -129,35 +117,8 @@ def _box_muller_transform(u1: np.ndarray, u2: np.ndarray, q: float) -> np.ndarra
 
 
 def _box_muller(rng: RngStream, q: float, n: int) -> np.ndarray:
-    """n generalized Box-Muller draws, without the support-boundary redraw.
-
-    U1 is drawn whole, and each block of draws is written back over its
-    block of U1, which the call returns. U2 is read block by block with
-    ``rng.raw``. An exact zero in U2 is replaced, as ``random_array`` would
-    replace it, by a scalar draw made after the whole of U2, in index order;
-    its entry is transformed once that draw is made, from the U1 value kept
-    for it.
-    """
-    z = rng.random_array(n)
-    zeros = []  # (index, its u1) of each exact zero in U2
-    for s in range(0, n, ARRAY_BLOCK):
-        b = slice(s, s + ARRAY_BLOCK)
-        u2 = rng.raw(min(ARRAY_BLOCK, n - s))
-        if not u2.all():
-            zeros += [(s + i, z[s + i]) for i in np.flatnonzero(u2 == 0.0).tolist()]
-        z[b] = _box_muller_transform(z[b], u2, q)
-    for i, u1 in zeros:
-        z[i] = _box_muller_transform(np.array([u1]), np.array([rng.random()]), q)[0]
-    return z
-
-
-def _near_boundary(z: np.ndarray, radius: float) -> np.ndarray:
-    """Indices of the draws within BOUNDARY_MARGIN of the support radius."""
-    near = np.empty(len(z), dtype=bool)
-    for s in range(0, len(z), ARRAY_BLOCK):
-        b = slice(s, s + ARRAY_BLOCK)
-        np.less(radius - np.abs(z[b]), BOUNDARY_MARGIN, out=near[b])
-    return np.flatnonzero(near)
+    """n generalized Box-Muller draws, without the support-boundary redraw."""
+    return _box_muller_transform(rng.random_array(n), rng.random_array(n), q)
 
 
 def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
@@ -170,11 +131,11 @@ def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
     z = _box_muller(rng, q, n)
     if q >= 1.0:
         return z
-    pending = _near_boundary(z, radius)
+    pending = np.flatnonzero(radius - np.abs(z) < BOUNDARY_MARGIN)
     while pending.size:
         redraw = _box_muller(rng, q, pending.size)
         z[pending] = redraw
-        pending = pending[_near_boundary(redraw, radius)]
+        pending = pending[radius - np.abs(redraw) < BOUNDARY_MARGIN]
     return z
 
 

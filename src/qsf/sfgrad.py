@@ -16,16 +16,6 @@ factor is left in, as it does not change descent directions; it is not
 :func:`qsf.oracles.lambda_q` (that is E[w], equal to (3-q)/2 only in dim 1).
 The sampler draws the components of z i.i.d., not from the joint law, so
 for dim > 1 and q != 1 the estimator is biased.
-
-:func:`estimate_gradient` holds one array of M rows, the perturbations
-``zs``, and makes one pass over it, ``qgauss.ARRAY_BLOCK`` rows at a time:
-each block's perturbed points go to ``f``, and the costs and weights turn
-the block into its terms z * f * w / beta in place. Each block's column sum
-goes into one Kahan-compensated total. The standard error runs the steps of
-``zs.std(axis=0)`` in place over the terms. Every step is elementwise, a sum
-over the same 65,536-row blocks as a whole-array computation, or the same
-ufunc sequence as ``std``, so the estimate and its standard error keep the
-bits of whole-array steps.
 """
 
 from __future__ import annotations
@@ -37,8 +27,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError
-from .qgauss import ARRAY_BLOCK, QGaussianSpec, check_size, sample_matrix, weight_base
+from .qgauss import QGaussianSpec, check_size, sample_matrix, weight_base
 from .rng import RngStream
+
+# Rows per block of estimate_gradient's draws and evaluations; the draws, and
+# so the estimate's bits, depend on it.
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -75,23 +69,23 @@ def estimate_gradient(
 
     In dim 1 the mean tends (beta -> 0) to ((3-q)/2) * grad f(theta). The
     i.i.d. component draws make it biased for dim > 1 when q != 1.
-    ``f`` is evaluated once at each perturbed point, in row order (it may be
-    a noisy oracle). The points are built and evaluated one block of
-    ``qgauss.ARRAY_BLOCK`` rows at a time: pass ``vectorized=True`` when f
-    maps an (n, dim) array to n values, shape (n,), and it is called once
-    per block; any other shape raises ValueError. Deterministic for a given
-    rng.
+    The perturbations are drawn, ``f`` is evaluated and the terms
+    z * f * w / beta are formed one block of ``BLOCK_ROWS`` rows at a time,
+    in place in one M-row array. ``f`` is evaluated once at each perturbed
+    point, in row order (it may be a noisy oracle): pass ``vectorized=True``
+    when f maps an (n, dim) array to n values, shape (n,), and it is called
+    once per block; any other shape raises ValueError. Deterministic for a
+    given rng.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (cfg.dim,):
         raise ValueError(f"theta must have shape ({cfg.dim},), got {theta.shape}")
     m = cfg.num_perturbations
-    zs = sample_matrix(rng, cfg.q, m, cfg.dim)
-    total = np.zeros(cfg.dim)
-    comp = np.zeros(cfg.dim)
-    for s in range(0, m, ARRAY_BLOCK):
-        terms = zs[s : s + ARRAY_BLOCK]  # a view: zs becomes the terms block by block
+    zs = np.empty((m, cfg.dim))
+    for s in range(0, m, BLOCK_ROWS):
+        terms = zs[s : s + BLOCK_ROWS]  # a view: zs becomes the terms block by block
         rows = len(terms)
+        terms[:] = sample_matrix(rng, cfg.q, rows, cfg.dim)
         pts = cfg.beta * terms
         pts += theta
         if vectorized:
@@ -100,25 +94,16 @@ def estimate_gradient(
                 raise ValueError(f"a vectorized f must return shape ({rows},), got {fv.shape}")
         else:
             fv = np.fromiter((f(p) for p in pts), dtype=float, count=rows)
-        del pts  # before the next block's points are built
+        del pts  # before the next block is drawn
         weights = 1.0 / weight_base(np.einsum("ij,ij->i", terms, terms), cfg.q)
         terms *= (fv * weights / cfg.beta)[:, None]
-        # Summing a C-contiguous block over axis 0 adds it row after row into
-        # each column, the bits of a Python row loop, not a pairwise sum;
-        # Kahan compensation runs across the blocks.
-        y = terms.sum(axis=0) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    value = total / m
+    value = zs.sum(axis=0) / m
     if not np.all(np.isfinite(value)):
         raise ConvergenceError(f"non-finite gradient accumulation: {value!r}")
     # zs.std(axis=0) over the terms, without its M-row temporary: the ufunc
     # steps of NumPy's _var and _std (numpy/_core/_methods.py) in the same
     # order, in place over zs, which is not used after this
-    mean = zs.sum(axis=0, keepdims=True)
-    mean /= m
-    zs -= mean
+    zs -= value
     np.square(zs, out=zs)
     var = zs.sum(axis=0)
     var /= m

@@ -78,6 +78,8 @@ MALFORMED_SWEEPS = {
     "bad_flag": ("0.9,0.25,0,1.5,7,0\n", "line 2: diverged and boundary_stuck must be 0 or 1"),
     "repeat": ("0.9,0.25,0,1.5,0,0\n0.9,0.25,0,2.5,0,0\n", "line 3: repeats q=0.9, beta=0.25, trial 0"),
     "no_rows": ("", "line 2: no trial rows after the header"),
+    "bad_q": ("0.9,0.25,0,1.5,0,0\n5.0,0.25,0,1.5,0,0\n", "line 3: q must be finite and < 3 (got q=5.0)"),
+    "bad_trial": ("0.9,0.25,-3,1.5,0,0\n", "line 2: trial must be an integer >= 0 (got -3)"),
 }
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -305,8 +304,8 @@ def test_sampler_determinism():
 
 
 class ScriptedUniforms:
-    """Stand-in stream whose random_array and raw calls return the given
-    arrays in turn (the arrays hold no exact zero)."""
+    """Stand-in stream whose random_array calls return the given arrays in
+    turn (the arrays hold no exact zero)."""
 
     def __init__(self, *arrays):
         self.arrays = [np.asarray(a, dtype=float) for a in arrays]
@@ -315,8 +314,6 @@ class ScriptedUniforms:
         out = self.arrays.pop(0)
         assert out.shape == (n,)
         return out
-
-    raw = random_array
 
 
 def test_boundary_draws_are_redrawn_in_place():
@@ -331,9 +328,15 @@ def test_boundary_draws_are_redrawn_in_place():
     assert np.all(np.abs(z) < radius)
 
 
+# The crafted-zero tests below put exact zeros and boundary draws on both
+# sides of multiples of EDGE values, where a sampler that read its uniforms
+# in blocks of that size would split them.
+EDGE = 65536
+
+
 def reference_sample_batch(rng, q, n):
-    """The sampler as whole-array steps: the transform and the boundary test
-    each on all n values at once."""
+    """The sampler as whole-array steps, written out independently: the
+    transform and the boundary test each on all n values at once."""
     q_prime = (1.0 + q) / (3.0 - q)
 
     def box_muller(k):
@@ -360,11 +363,11 @@ def reference_sample_batch(rng, q, n):
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 1.0, 1.5, 2.5])
 def test_blocked_sampler_equals_whole_array_reference(q):
-    # Three blocks and a partial fourth. Exact zeros sit on the last value of
-    # u1's first block and the first of u2's second. For q < 1, u1 = 1e-300
-    # with u2 = 0.5 puts |z| on the support radius on both sides of the
-    # second block edge, and the first redraw lands there again.
-    b = qgauss.ARRAY_BLOCK
+    # n spans three edges and a bit. Exact zeros sit on the last value of
+    # u1 before its first edge and the first of u2 after its first edge. For
+    # q < 1, u1 = 1e-300 with u2 = 0.5 puts |z| on the support radius on both
+    # sides of the second edge, and the first redraw lands there again.
+    b = EDGE
     n = 3 * b + 123
     values = RngStream(65).raw(2 * n + 12)
     u1, u2 = values[:n], values[n + 1 : 2 * n + 1]  # u1's zero is replaced by values[n]
@@ -402,10 +405,10 @@ def assert_sampler_matches_reference(q, n, values, head=()):
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.5])
 def test_streamed_sampler_zeros_in_the_last_partial_block(q):
-    # U2 is read in blocks, the last one 100 values long: its exact zeros,
-    # one mid-block and one on U2's very last value, are replaced after the
+    # U2 runs 100 values past its second edge: its exact zeros, one past
+    # that edge and one on U2's very last value, are replaced after the
     # whole of U2 in index order, the second replacement skipping a zero
-    b = qgauss.ARRAY_BLOCK
+    b = EDGE
     n = 2 * b + 100
     values = RngStream(76).raw(2 * n + 10)
     values[n + 2 * b + 50] = values[2 * n - 1] = 0.0
@@ -416,9 +419,9 @@ def test_streamed_sampler_zeros_in_the_last_partial_block(q):
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.5])
 def test_streamed_sampler_two_zeros_in_one_block(q):
-    # two U2 zeros in U2's first block, adjacent, and a third in its second
-    # block, after a U1 zero whose replacement is read before U2 starts
-    b = qgauss.ARRAY_BLOCK
+    # two U2 zeros before U2's first edge, adjacent, and a third after it,
+    # after a U1 zero whose replacement is read before U2 starts
+    b = EDGE
     n = b + 10
     values = RngStream(77).raw(2 * n + 10)
     values[3] = 0.0  # u1[3], replaced by values[n]
@@ -430,9 +433,9 @@ def test_streamed_sampler_two_zeros_in_one_block(q):
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.5])
 def test_streamed_sampler_after_unread_values(q):
     # the sample_lanes fallback path: the stream first hands back values
-    # put back by unread, which end inside U2's second block, one of them a
-    # U2 zero, then its generator, which holds another U2 zero
-    b = qgauss.ARRAY_BLOCK
+    # put back by unread, which end past U2's first edge, one of them a U2
+    # zero, then its generator, which holds another U2 zero
+    b = EDGE
     n = 2 * b + 100
     values = RngStream(78).raw(2 * n + 10)
     head, rest = values[: n + b + 7].copy(), values[n + b + 7 :]
@@ -440,21 +443,6 @@ def test_streamed_sampler_after_unread_values(q):
     rest[20] = 0.0
     stream = assert_sampler_matches_reference(q, n, rest, head)
     assert not len(stream._back) and len(stream._gen.values) == 8
-
-
-def test_sample_batch_memory_peak():
-    # tracemalloc sees NumPy's buffers: the peak is the first uniform array,
-    # which the draws overwrite, and one block's temporaries, whatever the
-    # allocator or RSS do: 1.31 times the draws
-    n = 2**20
-    for q in (0.5, 1.0, 1.5):
-        tracemalloc.start()
-        try:
-            sample_batch(RngStream(66), q, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.35 * n * 8, (q, peak / (n * 8))
 
 
 def test_sample_vector_matches_batch_distribution():
