@@ -70,22 +70,28 @@ def estimate_gradient(
     In dim 1 the mean tends (beta -> 0) to ((3-q)/2) * grad f(theta). The
     i.i.d. component draws make it biased for dim > 1 when q != 1.
     The perturbations are drawn, ``f`` is evaluated and the terms
-    z * f * w / beta are formed one block of ``BLOCK_ROWS`` rows at a time,
-    in place in one M-row array. ``f`` is evaluated once at each perturbed
-    point, in row order (it may be a noisy oracle): pass ``vectorized=True``
-    when f maps an (n, dim) array to n values, shape (n,), and it is called
-    once per block; any other shape raises ValueError. Deterministic for a
-    given rng.
+    z * f * w / beta are formed one block of ``BLOCK_ROWS`` rows at a time;
+    each block's mean and squared deviations are merged into running ones
+    (Chan, Golub & LeVeque 1979) and the block is dropped, so no array of
+    more than ``BLOCK_ROWS`` rows is held. ``f`` is evaluated once at each
+    perturbed point, in row order (it may be a noisy oracle): pass
+    ``vectorized=True`` when f maps an (n, dim) array to n values, shape
+    (n,), and it is called once per block; any other shape raises
+    ValueError. A theta that is not finite raises ValueError before any
+    draw, and a block whose terms are not all finite raises
+    ConvergenceError. Deterministic for a given rng.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (cfg.dim,):
         raise ValueError(f"theta must have shape ({cfg.dim},), got {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     m = cfg.num_perturbations
-    zs = np.empty((m, cfg.dim))
-    for s in range(0, m, BLOCK_ROWS):
-        terms = zs[s : s + BLOCK_ROWS]  # a view: zs becomes the terms block by block
-        rows = len(terms)
-        terms[:] = sample_matrix(rng, cfg.q, rows, cfg.dim)
+    mean = np.zeros(cfg.dim)
+    m2 = np.zeros(cfg.dim)  # sum of squared deviations from mean
+    for n in range(0, m, BLOCK_ROWS):  # n rows merged so far
+        rows = min(BLOCK_ROWS, m - n)
+        terms = sample_matrix(rng, cfg.q, rows, cfg.dim)
         pts = cfg.beta * terms
         pts += theta
         if vectorized:
@@ -97,15 +103,13 @@ def estimate_gradient(
         del pts  # before the next block is drawn
         weights = 1.0 / weight_base(np.einsum("ij,ij->i", terms, terms), cfg.q)
         terms *= (fv * weights / cfg.beta)[:, None]
-    value = zs.sum(axis=0) / m
-    if not np.all(np.isfinite(value)):
-        raise ConvergenceError(f"non-finite gradient accumulation: {value!r}")
-    # zs.std(axis=0) over the terms, without its M-row temporary: the ufunc
-    # steps of NumPy's _var and _std (numpy/_core/_methods.py) in the same
-    # order, in place over zs, which is not used after this
-    zs -= value
-    np.square(zs, out=zs)
-    var = zs.sum(axis=0)
-    var /= m
-    stderr = np.sqrt(var) / math.sqrt(m)
-    return GradEstimate(value=value, stderr=stderr)
+        block_mean = np.einsum("ij->j", terms) / rows
+        if not np.all(np.isfinite(block_mean)):
+            raise ConvergenceError(f"non-finite gradient accumulation: {block_mean!r}")
+        terms -= block_mean
+        share = rows / (n + rows)
+        delta = block_mean - mean
+        mean += delta * share
+        m2 += np.einsum("ij,ij->j", terms, terms) + delta * delta * (n * share)
+    stderr = np.sqrt(m2 / m) / math.sqrt(m)  # ddof 0
+    return GradEstimate(value=mean, stderr=stderr)
