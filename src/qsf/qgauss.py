@@ -84,16 +84,16 @@ def q_log(x: float, q: float) -> float:
     return (x ** (1.0 - q) - 1.0) / (1.0 - q)
 
 
-def _q_log_array(x: np.ndarray, q: float) -> np.ndarray:
-    if q == 1.0:
-        return np.log(x)
-    return (x ** (1.0 - q) - 1.0) / (1.0 - q)
-
-
-def weight_base(r2, q, beta: float = 1.0):
+def weight_base(r2, q, beta: float = 1.0, *, out=None):
     """The bracket 1 - (1-q)/((3-q) beta^2) * r2 at squared radius r2; q may be
-    an array that broadcasts against r2."""
-    return 1.0 - ((1.0 - q) / ((3.0 - q) * beta * beta)) * r2
+    an array that broadcasts against r2. Given ``out``, an array of the
+    result's shape (r2 itself, say), the bracket is formed in it, with the
+    same bits."""
+    c = (1.0 - q) / ((3.0 - q) * beta * beta)
+    if out is None:
+        return 1.0 - c * r2
+    np.multiply(r2, c, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def cutoff_radius(q: float, beta: float = 1.0) -> float:
@@ -110,15 +110,39 @@ def max_normalizable_q(dim: int) -> float:
 
 def _box_muller_transform(u1: np.ndarray, u2: np.ndarray, q: float) -> np.ndarray:
     """Generalized Box-Muller draws of the q kernel from uniforms u1, u2 of
-    one shape; the one home of the index q' = (1+q)/(3-q)."""
-    r2 = -2.0 * _q_log_array(u1, (1.0 + q) / (3.0 - q))
-    np.maximum(r2, 0.0, out=r2)  # guard rounding at u1 near the q'<1 cap
-    return np.sqrt(r2) * np.cos(2.0 * math.pi * u2)
+    one shape; the one home of the index q' = (1+q)/(3-q).
+
+    Works in place: u1 and u2 are overwritten, and the draws are returned
+    in u1. Each step is the ufunc of the whole-array expression
+    sqrt(max(-2 q_log(u1, q'), 0)) * cos(2 pi u2), so the bits are its bits.
+    """
+    q_prime = (1.0 + q) / (3.0 - q)
+    if q_prime == 1.0:
+        np.log(u1, out=u1)
+    else:  # q_log(u1, q') = (u1^(1-q') - 1) / (1-q')
+        np.power(u1, 1.0 - q_prime, out=u1)
+        np.subtract(u1, 1.0, out=u1)
+        np.divide(u1, 1.0 - q_prime, out=u1)
+    u1 *= -2.0
+    np.maximum(u1, 0.0, out=u1)  # guard rounding at u1 near the q'<1 cap
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * math.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def _box_muller(rng: RngStream, q: float, n: int) -> np.ndarray:
-    """n generalized Box-Muller draws, without the support-boundary redraw."""
+    """n generalized Box-Muller draws, without the support-boundary redraw;
+    the transform works in the two fresh uniform arrays."""
     return _box_muller_transform(rng.random_array(n), rng.random_array(n), q)
+
+
+def _near_radius(z: np.ndarray, radius: float) -> np.ndarray:
+    """radius - |z| < BOUNDARY_MARGIN, elementwise, with one float temporary."""
+    gap = np.abs(z)
+    np.subtract(radius, gap, out=gap)
+    return gap < BOUNDARY_MARGIN
 
 
 def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
@@ -131,11 +155,11 @@ def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
     z = _box_muller(rng, q, n)
     if q >= 1.0:
         return z
-    pending = np.flatnonzero(radius - np.abs(z) < BOUNDARY_MARGIN)
+    pending = np.flatnonzero(_near_radius(z, radius))
     while pending.size:
         redraw = _box_muller(rng, q, pending.size)
         z[pending] = redraw
-        pending = pending[radius - np.abs(redraw) < BOUNDARY_MARGIN]
+        pending = pending[_near_radius(redraw, radius)]
     return z
 
 
@@ -180,7 +204,7 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
             z = _box_muller_transform(u[0], u[1], q)
         out[:, ks] = z
         if q < 1.0:
-            near = cutoff_radius(q) - np.abs(z) < BOUNDARY_MARGIN
+            near = _near_radius(z, cutoff_radius(q))
             if near.any():
                 bad[ks] |= near.any(axis=2).T
     if bad.any():

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from math import log
+from math import isfinite, log
 
 import numpy as np
 
@@ -170,17 +170,22 @@ class QueueNetwork:
 
         The vector is split as the first N1 and last N2 components. Values may
         lie outside any feasibility box (perturbed parameters are legal); the
-        in-progress services keep their committed durations.
+        in-progress services keep their committed durations. A theta of
+        another shape, or one that is not finite, raises ValueError.
         """
-        # a copy: the caller may reuse its array
-        QueueNetwork.set_parameters((self,), np.array(theta, dtype=float)[None])
+        theta = np.array(theta, dtype=float)  # a copy: the caller may reuse its array
+        if theta.shape != (self.config.dim,):
+            raise ValueError(f"parameter must have shape ({self.config.dim},), got {theta.shape}")
+        QueueNetwork.set_parameters((self,), theta[None])
 
     @staticmethod
     def set_parameters(networks, thetas: np.ndarray) -> None:
         """:meth:`set_parameter` for a batch: row k of the (K, dim) array
         ``thetas`` goes to ``networks[k]``. The networks must be built from
         one config, and the caller must not change ``thetas`` afterwards:
-        each network keeps its row as its parameter."""
+        each network keeps its row as its parameter. A row that is not
+        finite, or whose service scale overflows, raises ValueError naming
+        the row, and no network is changed."""
         config = networks[0].config
         if thetas.shape != (len(networks), config.dim):
             raise ValueError(f"parameters must have shape ({len(networks)}, {config.dim}), "
@@ -188,6 +193,14 @@ class QueueNetwork:
         gap = thetas - config.theta_target
         scales1 = _service_scales(gap[:, : config.N1], config.R1)
         scales2 = _service_scales(gap[:, config.N1 :], config.R2)
+        # A NaN or infinite component makes its row's scale NaN or infinite.
+        # The scales are positive, so one sum on the Python floats finds that
+        # (a sum of finite scales that overflows finds no row to refuse).
+        if not isfinite(sum(scales1, sum(scales2))):
+            for k, (scale1, scale2) in enumerate(zip(scales1, scales2)):
+                if not (isfinite(scale1) and isfinite(scale2)):
+                    raise ValueError(f"parameter row {k} must be finite with finite service "
+                                     f"scales, got {thetas[k].tolist()}")
         for net, theta, scale1, scale2 in zip(networks, thetas, scales1, scales2):
             net._theta = theta
             net._scale1 = scale1

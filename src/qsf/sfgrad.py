@@ -77,9 +77,10 @@ def estimate_gradient(
     perturbed point, in row order (it may be a noisy oracle): pass
     ``vectorized=True`` when f maps an (n, dim) array to n values, shape
     (n,), and it is called once per block; any other shape raises
-    ValueError. A theta that is not finite raises ValueError before any
-    draw, and a block whose terms are not all finite raises
-    ConvergenceError. Deterministic for a given rng.
+    ValueError, and the array it returns is read, never written. A theta
+    that is not finite raises ValueError before any draw, and a block whose
+    terms are not all finite raises ConvergenceError. Deterministic for a
+    given rng.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (cfg.dim,):
@@ -100,9 +101,14 @@ def estimate_gradient(
                 raise ValueError(f"a vectorized f must return shape ({rows},), got {fv.shape}")
         else:
             fv = np.fromiter((f(p) for p in pts), dtype=float, count=rows)
-        del pts  # before the next block is drawn
-        weights = 1.0 / weight_base(np.einsum("ij,ij->i", terms, terms), cfg.q)
-        terms *= (fv * weights / cfg.beta)[:, None]
+        del pts  # before the weights are formed
+        # the factors f * w / beta, formed in place in the squared radii
+        w = np.einsum("ij,ij->i", terms, terms)
+        weight_base(w, cfg.q, out=w)
+        np.divide(1.0, w, out=w)
+        w *= fv
+        w /= cfg.beta
+        terms *= w[:, None]
         block_mean = np.einsum("ij->j", terms) / rows
         if not np.all(np.isfinite(block_mean)):
             raise ConvergenceError(f"non-finite gradient accumulation: {block_mean!r}")
@@ -111,5 +117,6 @@ def estimate_gradient(
         delta = block_mean - mean
         mean += delta * share
         m2 += np.einsum("ij,ij->j", terms, terms) + delta * delta * (n * share)
+        del terms, fv, w  # before the next block is drawn
     stderr = np.sqrt(m2 / m) / math.sqrt(m)  # ddof 0
     return GradEstimate(value=mean, stderr=stderr)

@@ -599,7 +599,8 @@ def boundary_head(q, dim, k, seed=64):
     radius in its last component: u1 = 1e-300, u2 = 0.5."""
     raw = raw_blocks(40, dim, seed)
     raw[k, 0, dim - 1], raw[k, 1, dim - 1] = 1e-300, 0.5
-    z_edge = qgauss._box_muller_transform(raw[k, 0], raw[k, 1], q)
+    # copies: the transform overwrites its arguments
+    z_edge = qgauss._box_muller_transform(raw[k, 0].copy(), raw[k, 1].copy(), q)
     assert cutoff_radius(q) - abs(z_edge[-1]) < qgauss.BOUNDARY_MARGIN
     return raw.ravel(), z_edge[-1]
 
@@ -625,6 +626,36 @@ def test_sample_lanes_paper_grid_in_one_batch(dim):
     qs = list(PAPER_Q_GRID)
     assert_lanes_match_sample_vector(
         lambda: [RngStream(68, k) for k in range(len(qs))], qs, dim, (64, 9))
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_sample_lanes_equal_the_out_of_place_reference(dim):
+    # the paper grid as lanes of one batch: each lane equals as many
+    # successive reference_sample_batch calls, one per block, on an identical
+    # stream, bit for bit; the in-place transform that sample_lanes and
+    # sample_vector share is checked against the whole-array expression
+    qs = list(PAPER_Q_GRID)
+    lanes = [RngStream(80, k) for k in range(len(qs))]
+    single = [RngStream(80, k) for k in range(len(qs))]
+    for blocks in (64, 9):
+        got = sample_lanes(lanes, qs, dim, blocks)
+        for k, q in enumerate(qs):
+            want = np.array([reference_sample_batch(single[k], q, dim) for _ in range(blocks)])
+            assert got[:, k].tobytes() == want.tobytes(), (q, dim, k)
+    for a, b in zip(lanes, single):
+        assert a.raw(8).tobytes() == b.raw(8).tobytes()
+
+
+def test_box_muller_transform_works_in_its_arguments():
+    # the draws come back in u1, with the bits of the whole-array expression
+    raw = raw_blocks(8, 4)
+    u1, u2 = raw[:, 0].ravel(), raw[:, 1].ravel()  # copies
+    for q in (0.0, 0.5, 1.0, 1.5):
+        a, b = u1.copy(), u2.copy()
+        z = qgauss._box_muller_transform(a, b, q)
+        assert z is a
+        want = reference_sample_batch(ScriptedUniforms(u1, u2), q, u1.size)
+        assert z.tobytes() == want.tobytes()
 
 
 def test_sample_lanes_zero_and_boundary_lanes_mid_chunk(monkeypatch):

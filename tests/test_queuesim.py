@@ -213,9 +213,31 @@ def test_set_parameter_last_one_wins():
 
 
 def test_set_parameter_dimension_mismatch():
+    # the one-network install names the vector shapes, not the batch's
     net = make_net(seed=16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must have shape \(4,\), got \(3,\)"):
         net.set_parameter(np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+def test_set_parameter_refuses_a_non_finite_theta(bad):
+    # installed, theta_3 = NaN would make node 2's services never complete
+    # and its queue only grow; 1e200 is finite but its scale overflows
+    net = make_net(seed=21)
+    theta = np.array([2.0, 3.0, bad, 0.5])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="parameter row 0 must be finite"):
+        net.set_parameter(theta)
+    assert np.array_equal(net.state.theta, net.config.theta_target)  # unchanged
+
+
+def test_set_parameters_names_the_non_finite_row_and_changes_no_network():
+    nets = [make_net(seed=22 + k) for k in range(4)]
+    thetas = np.ones((4, 4))
+    thetas[2, 3] = math.nan
+    with pytest.raises(ValueError, match=r"parameter row 2 must be finite.*nan"):
+        QueueNetwork.set_parameters(nets, thetas)
+    for net in nets:
+        assert np.array_equal(net.state.theta, net.config.theta_target)
 
 
 def scales_by_the_old_expression(cfg, theta):
