@@ -18,7 +18,8 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from .errors import QuadratureError
-from .qgauss import QGaussianSpec, cutoff_radius, max_normalizable_q, sample_batch, weight_base
+from .qgauss import (QGaussianSpec, cutoff_radius, max_normalizable_q, sample_batch, sample_matrix,
+                     weight_base)
 from .rng import RngStream
 
 ABS_TOL = 1e-10
@@ -431,20 +432,28 @@ def qgauss_invariants(q: float, beta: float, dims: list[int], rng: RngStream) ->
     """(name, passed, detail) rows of ``qsf qgauss verify`` for one (q, beta);
     the caller checks q, beta and every dim first.
 
-    The rows: unit mass by radial quadrature in each dim (skipped where the
-    density has no normalizer), the scale identity against the standard
-    density, a KS test of 20,000 standard ``sample_batch`` draws against the
-    exact :func:`cdf` (dim 1 only), and for q < 1 a count of draws on or
-    beyond the support radius."""
+    The rows: in each dim, unit mass by radial quadrature and a KS test of
+    the squared radii of 20,000 standard ``sample_matrix`` draws against the
+    exact :func:`radial_cdf` (both skipped where the density has no
+    normalizer); the scale identity against the standard density, a KS test
+    of 20,000 standard ``sample_batch`` draws against the exact :func:`cdf`
+    (dim 1 only), and for q < 1 a count of draws on or beyond the support
+    radius."""
     checks = []
     for dim in dims:
         label = f"q={q:g} beta={beta:g} dim={dim}"
+        radial = f"sample_matrix radial-ks q={q:g} dim={dim}"
         if q > 1.0 and q >= max_normalizable_q(dim):
             checks.append((f"normalization {label}", True, "skipped: density not integrable"))
+            checks.append((radial, True, "skipped: density not integrable"))
             continue
         spec = QGaussianSpec(q, beta, dim)
         mass = radial_integral(lambda r: radial_pdf(r * r, spec), dim, spec.radius)
         checks.append((f"normalization {label}", abs(mass - 1.0) < 1e-6, f"mass={mass:.9f}"))
+        eta = sample_matrix(rng.child("radial-ks", str(q), str(beta), dim), q, 20000, dim)
+        ks = stats.kstest(np.einsum("ij,ij->i", eta, eta),
+                          lambda r2: radial_cdf(r2, QGaussianSpec(q, 1.0, dim)))
+        checks.append((radial, ks.pvalue > 0.01, f"D={ks.statistic:.5f} p={ks.pvalue:.4f}"))
     # scale identity against the standard density
     spec_b = QGaussianSpec(q, beta, 1)
     std = QGaussianSpec(q, 1.0, 1)

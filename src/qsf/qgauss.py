@@ -11,12 +11,17 @@ Gaussian limit N(0, beta^2 I), never by numerical limiting. beta^2 is the
 q-variance (the second moment under the escort density p^q / int p^q), not
 the ordinary variance.
 
-Sampling uses the generalized Box-Muller transform: with q' = (1+q)/(3-q),
+:func:`sample_matrix`, the estimator's sampler, draws the joint N-variate
+law: a Gaussian vector scaled by one Gamma variate per row. The lane
+samplers (:func:`sample_batch`, :func:`sample_vector`, :func:`sample_lanes`)
+use the generalized Box-Muller transform: with q' = (1+q)/(3-q),
 
     z = sqrt(-2 * q_log(U1, q')) * cos(2 pi U2)
 
-has exactly the standard (beta = 1) density above; at q = 1 this is
-the classical Box-Muller transform. Density evaluation lives in qsf.oracles.
+has exactly the standard (beta = 1) univariate density above; at q = 1 this
+is the classical Box-Muller transform. They draw a vector's components
+i.i.d., which is the joint law only in dim 1 or at q = 1. Density
+evaluation lives in qsf.oracles.
 
 :func:`weight_base` is the one copy of the bracket 1 - (1-q)/((3-q) beta^2) |x|^2:
 the density raises it to 1/(1-q), and the estimator weight of qsf.sfgrad and
@@ -34,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .rng import RngStream
 
 # Margin (absolute, in standard units) inside the compact support within which
@@ -218,5 +224,40 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
 
 
 def sample_matrix(rng: RngStream, q: float, rows: int, dim: int) -> np.ndarray:
-    """(rows, dim) array of i.i.d. standard draws for vectorized estimators."""
-    return sample_batch(rng, q, rows * dim).reshape(rows, dim)
+    """(rows, dim) array of draws from the joint standard dim-variate kernel.
+
+    Each row is a Gaussian g ~ N(0, I_dim) scaled by one Gamma variate, the
+    chi^2-mixture representation of the q-Gaussian (Vignat & Plastino 2007):
+
+        q < 1:  g sqrt((3-q)/(1-q)) / sqrt(|g|^2 + X),  X = 2 Gamma((2-q)/(1-q))
+        q = 1:  g
+        q > 1:  g sqrt((3-q)/((q-1) V)),                V = 2 Gamma(1/(q-1) - dim/2)
+
+    The stream gives the rows * dim normals first, then the rows Gamma
+    variates. For q < 1 every row lies strictly inside the support. Near
+    q = 1 + 2/dim a Gamma variate can underflow so far that a row's scale
+    is infinite; then ConvergenceError names q, dim and the row count.
+    """
+    QGaussianSpec(q, 1.0, dim)
+    g = rng.normal(rows * dim).reshape(rows, dim)
+    if q == 1.0:
+        return g
+    if q < 1.0:
+        s = rng.gamma((2.0 - q) / (1.0 - q), rows)
+        s *= 2.0
+        s += np.einsum("ij,ij->i", g, g)
+        np.divide((3.0 - q) / (1.0 - q), s, out=s)
+    else:
+        s = rng.gamma(1.0 / (q - 1.0) - dim / 2.0, rows)
+        s *= 2.0 * (q - 1.0) / (3.0 - q)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(1.0, s, out=s)
+        if not np.isfinite(s.max()):
+            bad = rows - np.count_nonzero(np.isfinite(s))
+            raise ConvergenceError(
+                f"q={q!r} in dim {dim}: {bad} of {rows} rows have a Gamma variate that"
+                " underflowed, so their scale is infinite"
+            )
+    np.sqrt(s, out=s)
+    g *= s[:, None]
+    return g

@@ -1,4 +1,4 @@
-"""Seeded, splittable uniform random streams.
+"""Seeded, splittable random streams: uniforms, and normal and Gamma variates.
 
 Every stream is identified by a ``(seed, stream_id)`` pair feeding a
 counter-based Philox generator, so identical pairs reproduce identical
@@ -59,8 +59,9 @@ class RngStream:
     every request is served by the generator, after any values put back by
     :meth:`unread`. Philox yields its doubles in the same order whatever the
     request sizes, so interleaving scalar and array requests is
-    deterministic: together they read one logical sequence. One stream must
-    not be shared across threads.
+    deterministic: together they read one logical sequence. :meth:`normal`
+    and :meth:`gamma` read the same generator, so they take their place in
+    that sequence too. One stream must not be shared across threads.
     """
 
     __slots__ = ("seed", "stream_id", "_gen", "_back")
@@ -118,6 +119,25 @@ class RngStream:
             for i in np.flatnonzero(out == 0.0):
                 out[i] = self.random()
         return out
+
+    def _variates(self, kind: str) -> np.random.Generator:
+        """The generator, for a draw that reads its words directly: refused
+        while unread uniforms are pending, which it would skip."""
+        if len(self._back):
+            raise RuntimeError(f"{kind} draws cannot follow {len(self._back)} unread uniforms")
+        if self._gen is None:
+            self.raw(0)  # builds the generator; reads nothing
+        return self._gen
+
+    def normal(self, n: int) -> np.ndarray:
+        """``n`` standard normal variates, read from the generator after every
+        earlier draw, by NumPy's ziggurat: no cosine and no SIMD ufunc."""
+        return self._variates("normal").standard_normal(n)
+
+    def gamma(self, shape: float, n: int) -> np.ndarray:
+        """``n`` standard Gamma(shape) variates, read from the generator after
+        every earlier draw, so successive calls read fresh variates."""
+        return self._variates("gamma").standard_gamma(shape, n)
 
     def exponential(self, rate: float) -> float:
         """Exponential variate with the given rate, by inverse transform."""

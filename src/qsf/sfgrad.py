@@ -10,12 +10,11 @@ same perturbations, which yields the estimator
     (1/(beta M)) sum_n  z(n) * J(theta + beta z(n)) * w(z(n)),
     w(z) = 1 / (1 - (1-q)/(3-q) |z|^2) = 1 / qgauss.weight_base(|z|^2, q),
 
-whose mean, for z drawn from the joint dim-variate density, converges
-(beta -> 0) to ((3-q)/2) * grad J(theta) in every dimension. The positive
-factor is left in, as it does not change descent directions; it is not
+whose mean, for z drawn from the joint dim-variate density (as
+:func:`qsf.qgauss.sample_matrix` draws it), converges (beta -> 0) to
+((3-q)/2) * grad J(theta) in every dimension. The positive factor is left
+in, as it does not change descent directions; it is not
 :func:`qsf.oracles.lambda_q` (that is E[w], equal to (3-q)/2 only in dim 1).
-The sampler draws the components of z i.i.d., not from the joint law, so
-for dim > 1 and q != 1 the estimator is biased.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ def estimate_gradient(
 ) -> GradEstimate:
     """Weighted perturbation gradient estimate at theta from M perturbations.
 
-    In dim 1 the mean tends (beta -> 0) to ((3-q)/2) * grad f(theta). The
-    i.i.d. component draws make it biased for dim > 1 when q != 1.
+    The mean tends (beta -> 0) to ((3-q)/2) * grad f(theta) in every dimension.
     The perturbations are drawn, ``f`` is evaluated and the terms
     z * f * w / beta are formed one block of ``BLOCK_ROWS`` rows at a time;
     each block's mean and squared deviations are merged into running ones
@@ -79,8 +77,9 @@ def estimate_gradient(
     (n,), and it is called once per block; any other shape raises
     ValueError, and the array it returns is read, never written. A theta
     that is not finite raises ValueError before any draw, and a block whose
-    terms are not all finite raises ConvergenceError. Deterministic for a
-    given rng.
+    terms are not all finite raises ConvergenceError, as does a block of
+    draws near q = 1 + 2/dim whose rows are not all finite (before f sees
+    it). Deterministic for a given rng.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (cfg.dim,):

@@ -126,11 +126,14 @@ def test_verify_kernel_subcommand(tmp_path, capsys):
 
 
 def test_qgauss_verify_subcommand(capsys):
-    code = main(["qgauss", "verify", "--q", "0.5,1.5", "--beta", "1.0", "--dims", "1"])
+    code = main(["qgauss", "verify", "--q", "0.5,1.5", "--beta", "1.0", "--dims", "1,4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+    # a radial KS row per (q, dim); the joint dim-4 law has no q = 1.5
+    assert out.count("sample_matrix radial-ks") == 4
+    assert "sample_matrix radial-ks q=1.5 dim=4: skipped" in out
 
 
 # (argv, what the error names); the ids stay argv0, argv1, ...

@@ -445,16 +445,47 @@ def test_streamed_sampler_after_unread_values(q):
     assert not len(stream._back) and len(stream._gen.values) == 8
 
 
+def reference_sample_matrix(gen, q, rows, dim):
+    """The joint law's rows as whole-array expressions on a plain Philox
+    generator: rows * dim normals, then one Gamma variate per row."""
+    g = gen.standard_normal((rows, dim))
+    if q == 1.0:
+        return g
+    if q < 1.0:
+        chi = 2.0 * gen.standard_gamma((2.0 - q) / (1.0 - q), rows)
+        return g * np.sqrt((3.0 - q) / (1.0 - q) / ((g * g).sum(axis=1) + chi))[:, None]
+    v = 2.0 * gen.standard_gamma(1.0 / (q - 1.0) - dim / 2.0, rows)
+    return g * np.sqrt((3.0 - q) / ((q - 1.0) * v))[:, None]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+@pytest.mark.parametrize("q", [-1.0, 0.5, 0.9, 1.0, 1.2, 1.4])
+def test_sample_matrix_matches_the_philox_reference(q, dim):
+    # three calls on one stream against one generator on the same key:
+    # every call reads fresh normals and fresh Gamma variates, in that order,
+    # and leaves the stream where the generator is
+    seed, sid = 7, 100 + dim
+    rng = RngStream(seed, sid)
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | sid))
+    for rows in (3, 1000, 17):
+        got = sample_matrix(rng, q, rows, dim)
+        assert got.shape == (rows, dim)
+        np.testing.assert_allclose(got, reference_sample_matrix(gen, q, rows, dim), rtol=1e-14, atol=0)
+    assert rng.raw(4).tobytes() == gen.random(4).tobytes()
+
+
 def test_sample_vector_matches_batch_distribution():
     rng = RngStream(7)
     v = sample_vector(rng, 0.5, 6)
     assert v.shape == (6,)
     m = sample_matrix(RngStream(7), 0.5, 3, 2)
-    assert m.shape == (3, 2)
-    assert np.array_equal(m.ravel(), sample_batch(RngStream(7), 0.5, 6))
+    want = reference_sample_matrix(np.random.Generator(np.random.Philox(key=7 << 64)), 0.5, 3, 2)
+    np.testing.assert_allclose(m, want, rtol=1e-14, atol=0)
     for dim in BAD_DIM:  # 2.7 is refused, not truncated to 2
         with pytest.raises(ValueError, match="dim must be an integer >= 1"):
             sample_vector(rng, 0.5, dim)
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            sample_matrix(rng, 0.5, 3, dim)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
@@ -480,16 +511,8 @@ def test_sampler_ks_against_quadrature_cdf(q):
     assert res.pvalue > 0.01
 
 
-# The sampler draws the components i.i.d., not from the joint law, so
-# |z|^2 misses the radial law for q != 1 in dim >= 2.
-JOINT_LAW_FAULT = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="i.i.d. components are not the joint law (ROADMAP item 1)")
-
-
 @pytest.mark.parametrize("dim", [2, 4])
-@pytest.mark.parametrize("q", [pytest.param(q, marks=JOINT_LAW_FAULT) for q in (0.5, 0.9, 1.2)]
-                         + [1.0])
+@pytest.mark.parametrize("q", [0.5, 0.9, 1.2, 1.0])
 def test_sample_matrix_radial_law(q, dim):
     z = sample_matrix(RngStream(78 + dim, int(10 * q)), q, 100000, dim)
     res = stats.kstest((z * z).sum(axis=1), lambda r2: radial_cdf(r2, QGaussianSpec(q, dim=dim)))
@@ -516,10 +539,18 @@ def test_sampler_escort_moments(q):
 
 
 def test_sample_vector_components_uncorrelated():
-    m = sample_matrix(RngStream(55), 1.5, 250000, 4)
+    # q = 1.2: the dim-4 law has a variance only for q < 1 + 2/6 and a
+    # fourth moment, which the sample correlation's spread needs, for
+    # q < 1 + 2/8; at q = 1.4 the sample correlation does not settle
+    m = sample_matrix(RngStream(55), 1.2, 250000, 4)
     corr = np.corrcoef(m.T)
     off = corr[~np.eye(4, dtype=bool)]
     assert np.max(np.abs(off)) < 0.01
+    # the joint dim-4 law exists only below q = 1 + 2/4
+    rng = RngStream(55)
+    with pytest.raises(ValueError, match="integrable only for q < 1 \\+ 2/4"):
+        sample_matrix(rng, 1.5, 10, 4)
+    assert rng.raw(4).tobytes() == RngStream(55).raw(4).tobytes()  # nothing drawn
 
 
 def test_sample_vector_gaussian_components_normal():

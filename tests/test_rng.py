@@ -100,6 +100,33 @@ def test_unread_puts_raw_values_back_in_order(take, back):
         assert got == want, name
 
 
+def test_normal_and_gamma_read_the_plain_philox_sequence():
+    # uniforms, normals and Gamma variates in turn read one Philox sequence,
+    # and each call reads fresh values: two Gamma calls share none
+    s = RngStream(5, 9)
+    gen = np.random.Generator(np.random.Philox(key=(5 << 64) | 9))
+    assert s.raw(3).tobytes() == gen.random(3).tobytes()
+    assert s.normal(7).tobytes() == gen.standard_normal(7).tobytes()
+    first = s.gamma(0.7, 500)
+    second = s.gamma(0.7, 500)
+    assert first.tobytes() + second.tobytes() == gen.standard_gamma(0.7, 1000).tobytes()
+    assert not np.intersect1d(first, second).size
+    assert s.random() == gen.random()
+
+
+@pytest.mark.parametrize("draw", [lambda s: s.normal(4), lambda s: s.gamma(2.0, 4)],
+                         ids=["normal", "gamma"])
+def test_normal_and_gamma_refuse_while_unread_values_are_pending(draw):
+    # they read the generator's words directly, so they would skip the
+    # uniforms put back; once those are read again, they draw
+    s, ref = RngStream(6), RngStream(6)
+    s.unread(s.raw(5)[2:])
+    with pytest.raises(RuntimeError, match="cannot follow 3 unread uniforms"):
+        draw(s)
+    assert s.raw(3).tobytes() == ref.raw(5)[2:].tobytes()
+    assert draw(s).tobytes() == draw(ref).tobytes()
+
+
 def test_distinct_stream_ids_decorrelate():
     x = RngStream(11, 0).random_array(20000)
     y = RngStream(11, 1).random_array(20000)

@@ -18,7 +18,7 @@ from qsf.oracles import (
     smoothed_gradient_1d,
     verify_kernel_properties,
 )
-from qsf.qgauss import QGaussianSpec, sample_matrix
+from qsf.qgauss import QGaussianSpec, sample_matrix, weight_base
 from qsf.rng import RngStream
 from qsf.sfgrad import BLOCK_ROWS, GradEstimatorConfig, estimate_gradient
 from test_qgauss import BAD_BETA, BAD_DIM, BAD_Q
@@ -61,6 +61,62 @@ def test_estimator_carries_lambda_scale():
         RngStream(13), vectorized=True,
     )
     assert est.value[0] == pytest.approx(lambda_q(2.0, 1) * 2.0, rel=0.15)
+
+
+def exact_target_cases():
+    """(cost, dim, q) of the exact-target matrix: each q below 1 + 2/dim, and
+    for the quadratic cost below 1 + 2/(dim + 2), where its terms have a
+    variance."""
+    cases = []
+    for dim in (1, 2, 4, 8):
+        qs = sorted({0.1, 0.5, 0.9, 1.0, 1.1, 1.0 + 1.0 / dim, 1.0 + 2.0 / (dim + 1)})
+        for q in qs:
+            if q < 1.0 + 2.0 / dim:
+                cases.append(("linear", dim, q))
+            if q < 1.0 + 2.0 / (dim + 2):
+                cases.append(("quadratic", dim, q))
+    return cases
+
+
+@pytest.mark.parametrize("cost,dim,q", [pytest.param(*c, id=f"{c[0]}-{c[1]}-{c[2]:.4g}")
+                                        for c in exact_target_cases()])
+def test_estimator_hits_the_exact_target(cost, dim, q):
+    # E[w eta eta^T] = ((3-q)/2) I for the joint law, so a linear cost a.x
+    # has the exact mean ((3-q)/2) a at every beta, and |x|^2, whose
+    # smoothed gradient is 2 theta, the exact mean (3-q) theta
+    theta = np.full(dim, 0.5)
+    a = np.array([(-1.0) ** i * (1 + i) for i in range(dim)])
+    if cost == "linear":
+        f, target = (lambda pts: pts @ a), (3.0 - q) / 2.0 * a
+    else:
+        f, target = (lambda pts: np.einsum("ij,ij->i", pts, pts)), (3.0 - q) * theta
+    est = estimate_gradient(f, theta, _cfg(q, 0.1, dim=dim), RngStream(25, dim * 100 + int(100 * q)),
+                            vectorized=True)
+    assert np.all(np.abs(est.value - target) <= 4.5 * est.stderr), (est.value - target) / est.stderr
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 1.2, 1.4])
+def test_weighted_second_moment_is_scaled_identity(q):
+    # the integration by parts behind the estimator's (3-q)/2 scale
+    dim, m = 4, 200_000
+    eta = sample_matrix(RngStream(26, int(10 * q)), q, m, dim)
+    w = 1.0 / weight_base(np.einsum("ij,ij->i", eta, eta), q)
+    prods = w[:, None, None] * eta[:, :, None] * eta[:, None, :]
+    mean, se = prods.mean(axis=0), prods.std(axis=0) / math.sqrt(m)
+    assert np.all(np.abs(mean - (3.0 - q) / 2.0 * np.eye(dim)) <= 4.0 * se)
+
+
+def test_estimator_refuses_rows_past_double_range_before_calling_f():
+    # at q = 2.98 in dim 1 (its limit is 3) about 2.7% of the Gamma variates
+    # underflow, which would make the row infinite: a named error, no warning
+    calls = []
+    rng = RngStream(27)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"q=2\.98 in dim 1: \d+ of 8192 rows have a Gamma"):
+            estimate_gradient(lambda pts: calls.append(pts) or pts[:, 0], np.zeros(1),
+                              _cfg(2.98, 0.1), rng, vectorized=True)
+    assert calls == []
 
 
 def test_estimator_vectorized_matches_loop():
@@ -229,8 +285,7 @@ def test_estimator_evaluates_each_point_once_in_row_order(vectorized):
 def test_estimator_memory_peak():
     # tracemalloc sees NumPy's buffers: the sampler and the weights work in
     # place, so at its peak the estimate holds one block's draws, points and
-    # costs (or, while drawing, its two uniform arrays and the boundary
-    # test's buffer), 2.26 blocks of BLOCK_ROWS x dim values in dim 4
+    # costs, 2.26 blocks of BLOCK_ROWS x dim values in dim 4
     # whatever the allocator does, and nothing that grows with M
     dim = 4
     block = BLOCK_ROWS * dim * 8
