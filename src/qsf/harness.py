@@ -290,7 +290,13 @@ def read_sweep_csv(path, config: ExperimentConfig | None = None) -> SweepResult:
                     raise ValueError(f"trial must be an integer >= 0 (got {key[2]})")
                 if key in rows:
                     raise ValueError(f"repeats q={key[0]!r}, beta={key[1]!r}, trial {key[2]}")
-                rows[key] = TrialRecord(*key, float(dist), div == "1", stuck == "1", math.nan)
+                dist = float(dist)
+                if div == "1" and not (math.isnan(dist) and stuck == "0"):
+                    raise ValueError(f"a diverged row has final_distance nan and boundary_stuck 0"
+                                     f" (got {dist!r}, {stuck})")
+                if div == "0" and not (math.isfinite(dist) and dist >= 0.0):
+                    raise ValueError(f"final_distance must be finite and >= 0 (got {dist!r})")
+                rows[key] = TrialRecord(*key, dist, div == "1", stuck == "1", math.nan)
             except ValueError as exc:
                 raise ConfigError(f"{path}, line {n}: {exc}") from exc
     if not rows:

@@ -30,9 +30,10 @@ and the sweep runs batches of up to ``qsf.harness.LANE_BATCH`` = 32 lanes.
 A queue-network lane holds up to about 25 KB of its own: five lookaheads of
 up to 4 KB and six generators of about 0.8 KB. In dim 4, drawing a chunk
 peaks at 8 to 14 KB a lane more (tracemalloc, 32 lanes of one to 15 q
-values: the stacked raw uniforms, the output, and each q's copy of its
-lanes' uniforms, in which the transform works), and the chunk's
-perturbations and their shifts keep 4 KB a lane through its blocks.
+values: each lane's uniforms as its stream's reader returns them, their
+stacked copy, the output, and each q's copy of its lanes' uniforms, in
+which the transform works), and the chunk's perturbations and their shifts
+keep 4 KB a lane through its blocks.
 
 Every lane gets the bits of its own one-lane run. Elementwise + - * / and
 the min/max clamp round on rows as on a single vector. Dot products are

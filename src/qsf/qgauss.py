@@ -180,46 +180,36 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     entry [:, k] equals ``blocks`` successive ``sample_vector(rngs[k], qs[k],
     dim)`` calls, bit for bit.
 
-    Each lane's raw uniforms for all its blocks come from its own stream in
-    one draw, laid out (blocks, 2, dim) as the per-block calls read them
-    (dim values of u1, then dim of u2). The lanes are stacked into one
-    (K, blocks, 2, dim) array; each distinct q copies the u1 and u2 of its
-    lanes into contiguous arrays and transforms them by the same ufuncs with
-    the same scalar q' (elementwise, so the layout does not move a bit).
+    Each lane's uniforms for all its blocks come from its own stream in one
+    :meth:`~qsf.rng.RngStream.random_array` call, laid out (blocks, 2, dim)
+    as the per-block calls read them (dim values of u1, then dim of u2). The
+    lanes are stacked into one (K, blocks, 2, dim) array; each distinct q
+    copies the u1 and u2 of its lanes into contiguous arrays and transforms
+    them by the same ufuncs with the same scalar q' (elementwise, so the
+    layout does not move a bit).
 
-    A lane whose draw holds an exact-zero uniform, or (q < 1) a value
-    within BOUNDARY_MARGIN of the support radius, keeps its blocks before
-    the first such block; the raw values from there on go back on its
-    stream, that block is drawn by :func:`sample_vector` itself, which skips
-    the zero or redraws, and the rest of the lane's blocks are read again as
-    a one-lane call. Each lane reads exactly its own blocks from its stream,
-    no more.
+    A lane (q < 1) with a value within BOUNDARY_MARGIN of the support radius
+    puts its whole chunk back on its stream and draws its blocks by
+    :func:`sample_vector`, one call per block, which redraws that value.
+    Each lane reads exactly its own blocks from its stream, no more.
     """
     groups = {}
     for k, q in enumerate(qs):
         groups.setdefault(q, []).append(k)
     for q in groups:  # before any draw, so a refused call leaves the streams as they were
         QGaussianSpec(q)
-    raw = np.array([rng.raw(blocks * 2 * dim) for rng in rngs]).reshape(-1, blocks, 2, dim)
+    u = np.array([rng.random_array(blocks * 2 * dim) for rng in rngs]).reshape(-1, blocks, 2, dim)
     out = np.empty((blocks, len(rngs), dim))
-    # (K, blocks); the whole-array test first, as a per-block one costs more
-    bad = np.zeros((len(rngs), blocks), dtype=bool) if raw.all() else ~raw.all(axis=(2, 3))
     for q, ks in groups.items():
-        u = raw[ks].transpose(2, 1, 0, 3).copy()  # u1 and u2, each (blocks, lanes, dim)
-        with np.errstate(divide="ignore", invalid="ignore"):  # an exact zero in u1
-            z = _box_muller_transform(u[0], u[1], q)
+        u1, u2 = u[ks].transpose(2, 1, 0, 3).copy()  # each (blocks, lanes, dim)
+        z = _box_muller_transform(u1, u2, q)
         out[:, ks] = z
         if q < 1.0:
-            near = _near_radius(z, cutoff_radius(q))
-            if near.any():
-                bad[ks] |= near.any(axis=2).T
-    if bad.any():
-        for k in np.flatnonzero(bad.any(axis=1)).tolist():
-            j = int(bad[k].argmax())
-            rngs[k].unread(raw[k, j:].ravel())
-            out[j, k] = sample_vector(rngs[k], qs[k], dim)
-            if j + 1 < blocks:
-                out[j + 1 :, k] = sample_lanes([rngs[k]], [qs[k]], dim, blocks - j - 1)[:, 0]
+            near = _near_radius(z, cutoff_radius(q)).any(axis=(0, 2))
+            for k in np.asarray(ks)[near].tolist():
+                rngs[k].unread(u[k].ravel())
+                for j in range(blocks):
+                    out[j, k] = sample_vector(rngs[k], q, dim)
     return out
 
 

@@ -102,13 +102,12 @@ class QueueNetwork:
     """Mutable single-threaded simulator instance; one per trial.
 
     Each of the five streams is read through its own lookahead, an
-    ``array('d')`` filled from :meth:`RngStream.raw` in chunks that double
-    from ``_FIRST_CHUNK`` to ``_CHUNK`` values (at most 4 KB, where a list of
-    512 floats took 16 KB). It holds its chunk reversed, exact zeros left
-    out, so the next draw is ``pop()``-ed off the end. Every draw of a
-    stream, including the first arrivals of :meth:`reset`, comes through its
-    lookahead, so each stream is consumed in exactly the order of one
-    ``random()`` per draw.
+    ``array('d')`` filled from :meth:`RngStream.random_array` in chunks that
+    double from ``_FIRST_CHUNK`` to ``_CHUNK`` values (at most 4 KB, where a
+    list of 512 floats took 16 KB). It holds its chunk reversed, so the next
+    draw is ``pop()``-ed off the end. Every draw of a stream, including the
+    first arrivals of :meth:`reset`, comes through its lookahead, so each
+    stream is consumed in exactly the order of one ``random()`` per draw.
     """
 
     __slots__ = (
@@ -139,13 +138,9 @@ class QueueNetwork:
         """Refill stream ``k``'s empty lookahead and pop its next draw."""
         stream = (self._arr1, self._arr2, self._svc1, self._svc2, self._route)[k]
         ahead = self._ahead[k]
-        while not ahead:
-            n = self._chunks[k]
-            self._chunks[k] = min(2 * n, _CHUNK)
-            raw = stream.raw(n)
-            if not raw.all():
-                raw = raw[raw > 0.0]  # skip exact zeros, as random() does
-            ahead.frombytes(raw[::-1].tobytes())
+        n = self._chunks[k]
+        self._chunks[k] = min(2 * n, _CHUNK)
+        ahead.frombytes(stream.random_array(n)[::-1].tobytes())
         return ahead.pop()
 
     def reset(self) -> None:

@@ -56,12 +56,14 @@ class RngStream:
 
     The generator is built on the first draw, so a stream that only derives
     children never builds one. The stream keeps no read-ahead of its own:
-    every request is served by the generator, after any values put back by
-    :meth:`unread`. Philox yields its doubles in the same order whatever the
+    every uniform is read by :meth:`random_array`, from any values put back
+    by :meth:`unread` and then from the generator, with every exact zero
+    skipped. Philox yields its doubles in the same order whatever the
     request sizes, so interleaving scalar and array requests is
-    deterministic: together they read one logical sequence. :meth:`normal`
-    and :meth:`gamma` read the same generator, so they take their place in
-    that sequence too. One stream must not be shared across threads.
+    deterministic: together they read one logical sequence, the nonzero
+    values of the generator's in order. :meth:`normal` and :meth:`gamma`
+    read the same generator, so they take their place in that sequence too.
+    One stream must not be shared across threads.
     """
 
     __slots__ = ("seed", "stream_id", "_gen", "_back")
@@ -78,47 +80,39 @@ class RngStream:
 
     def random(self) -> float:
         """One uniform draw from the open interval (0, 1)."""
-        while True:
-            v = self.raw(1)[0]
-            if v > 0.0:
-                return float(v)
+        return float(self.random_array(1)[0])
 
-    def raw(self, n: int) -> np.ndarray:
-        """The next ``n`` values of the logical sequence, exact zeros included."""
+    def random_array(self, n: int) -> np.ndarray:
+        """The next ``n`` values of the logical sequence, every exact zero
+        skipped, so each lies in the open interval (0, 1): values put back
+        by :meth:`unread` first, then the generator's."""
         if self._gen is None:
             self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
         back = self._back
         if not len(back):
-            return self._gen.random(n)
-        if n <= len(back):
+            out = self._gen.random(n)
+        elif n <= len(back):
             self._back = back[n:]
-            return back[:n]
-        out = np.empty(n, dtype=np.float64)
-        out[: len(back)] = back
-        self._gen.random(out=out[len(back) :])
-        self._back = _EMPTY
-        return out
+            out = back[:n]
+        else:
+            out = np.empty(n, dtype=np.float64)
+            out[: len(back)] = back
+            self._gen.random(out=out[len(back) :])
+            self._back = _EMPTY
+        if np.count_nonzero(out) == n:  # a cheaper test than out.all() on short arrays
+            return out
+        out = out[out > 0.0]
+        return np.concatenate((out, self.random_array(n - len(out))))
 
     def unread(self, values: np.ndarray) -> None:
-        """Put ``values``, the last ones taken by :meth:`raw`, back on the stream.
+        """Put ``values``, the last ones taken by :meth:`random_array`, back
+        on the stream.
 
         The next draws read them again, in order, before the rest of the
-        sequence; a caller that took more raw values than it used returns
-        the tail this way.
+        sequence; a caller that took more values than it used returns the
+        tail this way.
         """
         self._back = np.concatenate((values, self._back))
-
-    def random_array(self, n: int) -> np.ndarray:
-        """``n`` uniforms in (0, 1), consumed from the same logical stream.
-
-        An exact zero is replaced in place by a scalar draw made after the
-        whole array.
-        """
-        out = self.raw(n)
-        if not out.all():
-            for i in np.flatnonzero(out == 0.0):
-                out[i] = self.random()
-        return out
 
     def _variates(self, kind: str) -> np.random.Generator:
         """The generator, for a draw that reads its words directly: refused
@@ -126,7 +120,7 @@ class RngStream:
         if len(self._back):
             raise RuntimeError(f"{kind} draws cannot follow {len(self._back)} unread uniforms")
         if self._gen is None:
-            self.raw(0)  # builds the generator; reads nothing
+            self.random_array(0)  # builds the generator; reads nothing
         return self._gen
 
     def normal(self, n: int) -> np.ndarray:

@@ -80,6 +80,14 @@ MALFORMED_SWEEPS = {
     "no_rows": ("", "line 2: no trial rows after the header"),
     "bad_q": ("0.9,0.25,0,1.5,0,0\n5.0,0.25,0,1.5,0,0\n", "line 3: q must be finite and < 3 (got q=5.0)"),
     "bad_trial": ("0.9,0.25,-3,1.5,0,0\n", "line 2: trial must be an integer >= 0 (got -3)"),
+    "negative_distance": ("0.9,0.25,0,-3.0,0,0\n", "line 2: final_distance must be finite and >= 0 (got -3.0)"),
+    "infinite_distance": ("0.9,0.25,0,1.5,0,0\n0.9,0.25,1,inf,0,1\n",
+                          "line 3: final_distance must be finite and >= 0 (got inf)"),
+    "nan_distance": ("0.9,0.25,0,nan,0,0\n", "line 2: final_distance must be finite and >= 0 (got nan)"),
+    "diverged_with_distance": ("0.9,0.25,0,1.5,1,0\n",
+                               "line 2: a diverged row has final_distance nan and boundary_stuck 0 (got 1.5, 0)"),
+    "diverged_and_stuck": ("0.9,0.25,0,nan,1,1\n",
+                           "line 2: a diverged row has final_distance nan and boundary_stuck 0 (got nan, 1)"),
 }
 
 

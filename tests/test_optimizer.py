@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -456,9 +455,10 @@ class ScriptedSeed(RngStream):
 
 
 def lane_cfg(q, beta, seed):
-    # Uniforms for 40 blocks in dim 4: an exact zero in block 3, which
-    # sample_vector skips, and for q < 1 a draw on the support radius in
-    # block 6 (u1 -> 0, u2 = 1/2 give |z| = sqrt((3-q)/(1-q))), which it redraws.
+    # Uniforms for 40 blocks in dim 4: an exact zero in block 3, which the
+    # stream's reader skips, and for q < 1 a draw on the support radius in
+    # block 6 (u1 -> 0, u2 = 1/2 give |z| = sqrt((3-q)/(1-q))), which
+    # sample_vector redraws.
     raw = np.random.default_rng(seed).uniform(0.05, 0.95, (40, 2, 4))
     raw[3, 1, 2] = 0.0
     if q < 1.0:
@@ -481,17 +481,17 @@ def replay(result):
 def test_lanes_match_one_lane_runs_bitwise(monkeypatch):
     cells = [(q, beta) for q in LANE_QS for beta in (0.25, 2.5)]
     cfgs = [lane_cfg(q, beta, 50 + i) for i, (q, beta) in enumerate(cells)]
-    fallbacks = Counter()
+    fallbacks = set()  # the seeds of the lanes that fall back to sample_vector
     draw = qgauss.sample_vector
 
     def counted(rng, q, dim):
-        fallbacks[q] += 1
+        fallbacks.add(rng.seed)
         return draw(rng, q, dim)
 
     monkeypatch.setattr(qgauss, "sample_vector", counted)
     lanes = run_lanes([fresh_network(i) for i in range(len(cfgs))], cfgs[0],
                       [(c.q, c.beta, c.seed) for c in cfgs], keep_records=True)
-    assert fallbacks == {q: 4 if q < 1.0 else 2 for q in LANE_QS}  # two lanes per q
+    assert fallbacks == {cfg.seed.seed for cfg in cfgs if cfg.q < 1.0}  # the boundary lanes
     for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
         got = outcome(replay(lane))
         assert got[0] == "ran" and len(got[3]) == cfg.num_iterations + 1

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsf.queuesim import _SVC1, QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream, _PhiloxKey, derive_stream_id
 
 
@@ -68,9 +69,47 @@ def test_exact_zeros_are_skipped_by_scalar_draws():
     assert 0.0 not in want and want[:3] == [0.5, 0.25, 0.01]
 
 
-def test_exact_zero_in_array_is_replaced_after_the_array():
-    arr = scripted_stream([0.5, 0.0, 0.25, 0.75, 0.125] + [0.3] * 20).random_array(4)
-    assert list(arr) == [0.5, 0.125, 0.25, 0.75]
+def test_exact_zeros_in_array_are_skipped():
+    # the zero is skipped and the array takes the next value; that top-up
+    # read holds a zero too, which is skipped in turn
+    s = scripted_stream([0.5, 0.0, 0.25, 0.75, 0.0, 0.125] + [0.3] * 20)
+    assert list(s.random_array(4)) == [0.5, 0.25, 0.75, 0.125]
+    assert s.random() == 0.3
+
+
+def scripted_with_zeros(nonzero, zeros_before, head):
+    """A stream whose sequence is ``nonzero`` with an exact zero put before
+    each of its indices in ``zeros_before``; the first ``head`` values are
+    put back by unread, the rest come from its generator."""
+    values = list(nonzero)
+    for i in sorted(zeros_before, reverse=True):
+        values.insert(i, 0.0)
+    s = scripted_stream(values[head:])
+    s.unread(np.array(values[:head]))
+    return s
+
+
+def lookahead_reader(s, n):
+    """``n`` draws through a QueueNetwork lookahead that reads stream ``s``."""
+    net = QueueNetwork(QueueNetworkConfig(), RngStream(1))
+    net._svc1 = s  # reset() drew only the arrival streams
+    ahead = net._ahead[_SVC1]
+    return [ahead.pop() if ahead else net._refill(_SVC1) for _ in range(n)]
+
+
+def test_every_reader_gets_the_same_nonzero_subsequence():
+    # zeros among the unread values; the lookahead's first 32-value chunk
+    # skips those, and its top-up read holds another zero; zeros open its
+    # second chunk and sit on the edge of its second and third chunks
+    nonzero = [(i + 1) / 1024 for i in range(700)]
+    zeros_before = [2, 2, 30, 32, 95, 96, 96, 224]
+    readers = {
+        "random": lambda s: [s.random() for _ in range(300)],
+        "random_array": lambda s: [v for n in (1, 31, 64, 7, 97, 100) for v in s.random_array(n)],
+        "lookahead": lambda s: lookahead_reader(s, 300),
+    }
+    for name, read in readers.items():
+        assert read(scripted_with_zeros(nonzero, zeros_before, head=10)) == nonzero[:300], name
 
 
 READERS = {
@@ -88,14 +127,14 @@ def test_unread_puts_raw_values_back_in_order(take, back):
         s, ref = RngStream(21, 4), RngStream(21, 4)
         if take:
             assert s.random() == ref.random()
-            head = s.raw(take)
+            head = s.random_array(take)
             want = [ref.random() for _ in range(take + 50)]
         else:
             head = np.array([0.75, 0.5, 0.25])
             want = head.tolist() + [ref.random() for _ in range(50)]
         s.unread(head[len(head) - back :])
         assert take or s._gen is None
-        s.unread(s.raw(1))  # a put-back in front of what is left of another
+        s.unread(s.random_array(1))  # a put-back in front of what is left of another
         got = head[: len(head) - back].tolist() + read(s, back + 20) + read(s, 30)
         assert got == want, name
 
@@ -105,7 +144,7 @@ def test_normal_and_gamma_read_the_plain_philox_sequence():
     # and each call reads fresh values: two Gamma calls share none
     s = RngStream(5, 9)
     gen = np.random.Generator(np.random.Philox(key=(5 << 64) | 9))
-    assert s.raw(3).tobytes() == gen.random(3).tobytes()
+    assert s.random_array(3).tobytes() == gen.random(3).tobytes()
     assert s.normal(7).tobytes() == gen.standard_normal(7).tobytes()
     first = s.gamma(0.7, 500)
     second = s.gamma(0.7, 500)
@@ -120,10 +159,10 @@ def test_normal_and_gamma_refuse_while_unread_values_are_pending(draw):
     # they read the generator's words directly, so they would skip the
     # uniforms put back; once those are read again, they draw
     s, ref = RngStream(6), RngStream(6)
-    s.unread(s.raw(5)[2:])
+    s.unread(s.random_array(5)[2:])
     with pytest.raises(RuntimeError, match="cannot follow 3 unread uniforms"):
         draw(s)
-    assert s.raw(3).tobytes() == ref.raw(5)[2:].tobytes()
+    assert s.random_array(3).tobytes() == ref.random_array(5)[2:].tobytes()
     assert draw(s).tobytes() == draw(ref).tobytes()
 
 
