@@ -29,11 +29,11 @@ The perturbations of 64 blocks of all lanes come from one
 and the sweep runs batches of up to ``qsf.harness.LANE_BATCH`` = 32 lanes.
 A queue-network lane holds up to about 25 KB of its own: five lookaheads of
 up to 4 KB and six generators of about 0.8 KB. In dim 4, drawing a chunk
-peaks at 8 to 14 KB a lane more (tracemalloc, 32 lanes of one to 15 q
-values: each lane's uniforms as its stream's reader returns them, their
-stacked copy, the output, and each q's copy of its lanes' uniforms, in
-which the transform works), and the chunk's perturbations and their shifts
-keep 4 KB a lane through its blocks.
+peaks at 4 to 13 KB a lane more (tracemalloc, 32 lanes of 15 to one q
+values: the output, and for one q at a time its lanes' uniforms as their
+streams' reader returns them, their stacked copy and the contiguous copy
+of u1 and u2 in which the transform works), and the chunk's perturbations
+and their shifts keep 4 KB a lane through its blocks.
 
 Every lane gets the bits of its own one-lane run. Elementwise + - * / and
 the min/max clamp round on rows as on a single vector. Dot products are

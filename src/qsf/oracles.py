@@ -18,8 +18,7 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from .errors import QuadratureError
-from .qgauss import (QGaussianSpec, cutoff_radius, max_normalizable_q, sample_batch, sample_matrix,
-                     weight_base)
+from .qgauss import QGaussianSpec, max_normalizable_q, sample_batch, sample_matrix, weight_base
 from .rng import RngStream
 
 ABS_TOL = 1e-10
@@ -330,7 +329,7 @@ def verify_kernel_properties(q: float, beta_sequence) -> dict:
         raise ValueError("beta_sequence must be strictly decreasing")
     std = QGaussianSpec(q)
     compact = q < 1.0
-    z_edge = cutoff_radius(q) if compact else 5.0
+    z_edge = std.radius if compact else 5.0
 
     # P1: G_{q,beta}(x) = beta^-1 G_{q,1}(x / beta), pointwise.
     worst1 = 0.0
@@ -457,7 +456,7 @@ def qgauss_invariants(q: float, beta: float, dims: list[int], rng: RngStream) ->
     # scale identity against the standard density
     spec_b = QGaussianSpec(q, beta, 1)
     std = QGaussianSpec(q, 1.0, 1)
-    zs = np.linspace(-0.9, 0.9, 9) * (cutoff_radius(q) if q < 1 else 4.0)
+    zs = np.linspace(-0.9, 0.9, 9) * (std.radius if q < 1 else 4.0)
     rhs = pdf(zs, std) / beta
     worst = float(np.max(np.abs(pdf(beta * zs, spec_b) - rhs) / np.maximum(rhs, 1e-300)))
     checks.append((f"scale-identity q={q:g} beta={beta:g}", worst < 1e-12, f"rel={worst:.2e}"))
@@ -466,6 +465,6 @@ def qgauss_invariants(q: float, beta: float, dims: list[int], rng: RngStream) ->
     ks = stats.kstest(draws, lambda x: cdf(x, std))
     checks.append((f"sampler-ks q={q:g}", ks.pvalue > 0.01, f"D={ks.statistic:.5f} p={ks.pvalue:.4f}"))
     if q < 1.0:
-        viol = int(np.sum(np.abs(draws) >= cutoff_radius(q)))
+        viol = int(np.sum(np.abs(draws) >= std.radius))
         checks.append((f"cutoff q={q:g}", viol == 0, f"violations={viol}"))
     return checks

@@ -20,8 +20,10 @@ use the generalized Box-Muller transform: with q' = (1+q)/(3-q),
 
 has exactly the standard (beta = 1) univariate density above; at q = 1 this
 is the classical Box-Muller transform. They draw a vector's components
-i.i.d., which is the joint law only in dim 1 or at q = 1. Density
-evaluation lives in qsf.oracles.
+i.i.d., which is the joint law only in dim 1 or at q = 1. For q < 1 they
+share one rule, :func:`_redraw_near_radius`: a draw within BOUNDARY_MARGIN
+of the support radius is redrawn from the stream's next uniforms, as a
+stream only reads forward. Density evaluation lives in qsf.oracles.
 
 :func:`weight_base` is the one copy of the bracket 1 - (1-q)/((3-q) beta^2) |x|^2:
 the density raises it to 1/(1-q), and the estimator weight of qsf.sfgrad and
@@ -78,7 +80,7 @@ class QGaussianSpec:
     @property
     def radius(self) -> float:
         """Support radius: beta * sqrt((3-q)/(1-q)) for q < 1, infinite otherwise."""
-        return cutoff_radius(self.q, self.beta) if self.q < 1.0 else math.inf
+        return self.beta * math.sqrt((3.0 - self.q) / (1.0 - self.q)) if self.q < 1.0 else math.inf
 
 
 def q_log(x: float, q: float) -> float:
@@ -100,13 +102,6 @@ def weight_base(r2, q, beta: float = 1.0, *, out=None):
         return 1.0 - c * r2
     np.multiply(r2, c, out=out)
     return np.subtract(1.0, out, out=out)
-
-
-def cutoff_radius(q: float, beta: float = 1.0) -> float:
-    """Support radius beta * sqrt((3-q)/(1-q)) of the compact (q < 1) case."""
-    if not q < 1.0:
-        raise ValueError("the support is compact only for q < 1")
-    return beta * math.sqrt((3.0 - q) / (1.0 - q))
 
 
 def max_normalizable_q(dim: int) -> float:
@@ -138,17 +133,24 @@ def _box_muller_transform(u1: np.ndarray, u2: np.ndarray, q: float) -> np.ndarra
     return u1
 
 
-def _box_muller(rng: RngStream, q: float, n: int) -> np.ndarray:
-    """n generalized Box-Muller draws, without the support-boundary redraw;
-    the transform works in the two fresh uniform arrays."""
-    return _box_muller_transform(rng.random_array(n), rng.random_array(n), q)
-
-
 def _near_radius(z: np.ndarray, radius: float) -> np.ndarray:
     """radius - |z| < BOUNDARY_MARGIN, elementwise, with one float temporary."""
     gap = np.abs(z)
     np.subtract(radius, gap, out=gap)
     return gap < BOUNDARY_MARGIN
+
+
+def _redraw_near_radius(rng: RngStream, q: float, z: np.ndarray) -> np.ndarray:
+    """Redraw, in flat order, each value of z within BOUNDARY_MARGIN of the
+    q < 1 support radius, from the next uniforms of ``rng``, until none is
+    left; z (an array or a view of one) is changed in place and returned."""
+    radius = QGaussianSpec(q).radius
+    pending = np.flatnonzero(_near_radius(z, radius))
+    while pending.size:
+        redraw = _box_muller_transform(rng.random_array(pending.size), rng.random_array(pending.size), q)
+        z.flat[pending] = redraw
+        pending = pending[_near_radius(redraw, radius)]
+    return z
 
 
 def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
@@ -157,16 +159,9 @@ def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
     Draws within BOUNDARY_MARGIN of the compact-support radius (q < 1) are
     redrawn so downstream estimator weights stay finite.
     """
-    radius = QGaussianSpec(q).radius
-    z = _box_muller(rng, q, n)
-    if q >= 1.0:
-        return z
-    pending = np.flatnonzero(_near_radius(z, radius))
-    while pending.size:
-        redraw = _box_muller(rng, q, pending.size)
-        z[pending] = redraw
-        pending = pending[_near_radius(redraw, radius)]
-    return z
+    QGaussianSpec(q)  # before any draw
+    z = _box_muller_transform(rng.random_array(n), rng.random_array(n), q)
+    return _redraw_near_radius(rng, q, z) if q < 1.0 else z
 
 
 def sample_vector(rng: RngStream, q: float, dim: int) -> np.ndarray:
@@ -177,39 +172,40 @@ def sample_vector(rng: RngStream, q: float, dim: int) -> np.ndarray:
 
 def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     """Perturbations of ``blocks`` blocks for K lanes, shaped (blocks, K, dim):
-    entry [:, k] equals ``blocks`` successive ``sample_vector(rngs[k], qs[k],
-    dim)`` calls, bit for bit.
+    entry [:, k] is lane k's chunk of ``blocks`` blocks of ``dim`` draws of
+    the q = qs[k] kernel, read from its stream ``rngs[k]``.
 
     Each lane's uniforms for all its blocks come from its own stream in one
     :meth:`~qsf.rng.RngStream.random_array` call, laid out (blocks, 2, dim)
-    as the per-block calls read them (dim values of u1, then dim of u2). The
-    lanes are stacked into one (K, blocks, 2, dim) array; each distinct q
-    copies the u1 and u2 of its lanes into contiguous arrays and transforms
-    them by the same ufuncs with the same scalar q' (elementwise, so the
+    as ``blocks`` successive :func:`sample_vector` calls read them (dim
+    values of u1, then dim of u2). The lanes of each distinct q are stacked,
+    and their u1 and u2 copied into contiguous arrays, which the transform
+    works in by the same ufuncs with the same scalar q' (elementwise, so the
     layout does not move a bit).
 
-    A lane (q < 1) with a value within BOUNDARY_MARGIN of the support radius
-    puts its whole chunk back on its stream and draws its blocks by
-    :func:`sample_vector`, one call per block, which redraws that value.
-    Each lane reads exactly its own blocks from its stream, no more.
+    A lane (q < 1) whose chunk holds a value within BOUNDARY_MARGIN of the
+    support radius has those values redrawn, in the chunk's flat order, from
+    the uniforms after its chunk, by the redraw rule of :func:`sample_batch`.
+    A lane whose chunk holds no such value, or that draws one block, equals
+    ``blocks`` successive sample_vector calls bit for bit, and reads exactly
+    what they read. No Philox uniform (each at least 2^-53) puts a draw of a
+    q >= 0 kernel that close to the radius.
     """
     groups = {}
     for k, q in enumerate(qs):
         groups.setdefault(q, []).append(k)
     for q in groups:  # before any draw, so a refused call leaves the streams as they were
         QGaussianSpec(q)
-    u = np.array([rng.random_array(blocks * 2 * dim) for rng in rngs]).reshape(-1, blocks, 2, dim)
     out = np.empty((blocks, len(rngs), dim))
     for q, ks in groups.items():
-        u1, u2 = u[ks].transpose(2, 1, 0, 3).copy()  # each (blocks, lanes, dim)
+        u = np.array([rngs[k].random_array(blocks * 2 * dim) for k in ks])
+        u1, u2 = u.reshape(len(ks), blocks, 2, dim).transpose(2, 1, 0, 3).copy()  # each (blocks, lanes, dim)
         z = _box_muller_transform(u1, u2, q)
-        out[:, ks] = z
         if q < 1.0:
-            near = _near_radius(z, cutoff_radius(q)).any(axis=(0, 2))
-            for k in np.asarray(ks)[near].tolist():
-                rngs[k].unread(u[k].ravel())
-                for j in range(blocks):
-                    out[j, k] = sample_vector(rngs[k], q, dim)
+            near = _near_radius(z, QGaussianSpec(q).radius).any(axis=(0, 2))
+            for i in np.flatnonzero(near).tolist():
+                _redraw_near_radius(rngs[ks[i]], q, z[:, i])
+        out[:, ks] = z
     return out
 
 

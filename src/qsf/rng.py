@@ -16,7 +16,6 @@ import numpy as np
 import numpy.random  # NumPy 2 defers it to first use; load it with this module
 
 _MASK64 = (1 << 64) - 1
-_EMPTY = np.empty(0)
 
 
 class _PhiloxKey(numpy.random.bit_generator.ISeedSequence):
@@ -55,24 +54,23 @@ class RngStream:
     """Single-owner uniform source over the open interval (0, 1).
 
     The generator is built on the first draw, so a stream that only derives
-    children never builds one. The stream keeps no read-ahead of its own:
-    every uniform is read by :meth:`random_array`, from any values put back
-    by :meth:`unread` and then from the generator, with every exact zero
-    skipped. Philox yields its doubles in the same order whatever the
-    request sizes, so interleaving scalar and array requests is
-    deterministic: together they read one logical sequence, the nonzero
-    values of the generator's in order. :meth:`normal` and :meth:`gamma`
-    read the same generator, so they take their place in that sequence too.
-    One stream must not be shared across threads.
+    children never builds one. The stream only reads forward and keeps no
+    read-ahead of its own: every uniform is read by :meth:`random_array`,
+    from the generator, with every exact zero skipped. Philox yields its
+    doubles in the same order whatever the request sizes, so interleaving
+    scalar and array requests is deterministic: together they read one
+    logical sequence, the nonzero values of the generator's in order.
+    :meth:`normal` and :meth:`gamma` read the same generator, so they take
+    their place in that sequence too. One stream must not be shared across
+    threads.
     """
 
-    __slots__ = ("seed", "stream_id", "_gen", "_back")
+    __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
         self._gen = None
-        self._back = _EMPTY  # values put back by unread(), read before the generator
 
     def child(self, *tags) -> "RngStream":
         """Derive an independent stream keyed by ``tags`` (ints or strings)."""
@@ -83,55 +81,29 @@ class RngStream:
         return float(self.random_array(1)[0])
 
     def random_array(self, n: int) -> np.ndarray:
-        """The next ``n`` values of the logical sequence, every exact zero
-        skipped, so each lies in the open interval (0, 1): values put back
-        by :meth:`unread` first, then the generator's."""
-        if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
-        back = self._back
-        if not len(back):
-            out = self._gen.random(n)
-        elif n <= len(back):
-            self._back = back[n:]
-            out = back[:n]
-        else:
-            out = np.empty(n, dtype=np.float64)
-            out[: len(back)] = back
-            self._gen.random(out=out[len(back) :])
-            self._back = _EMPTY
+        """The next ``n`` values of the logical sequence: the generator's,
+        every exact zero skipped, so each lies in the open interval (0, 1)."""
+        out = self._generator().random(n)
         if np.count_nonzero(out) == n:  # a cheaper test than out.all() on short arrays
             return out
         out = out[out > 0.0]
         return np.concatenate((out, self.random_array(n - len(out))))
 
-    def unread(self, values: np.ndarray) -> None:
-        """Put ``values``, the last ones taken by :meth:`random_array`, back
-        on the stream.
-
-        The next draws read them again, in order, before the rest of the
-        sequence; a caller that took more values than it used returns the
-        tail this way.
-        """
-        self._back = np.concatenate((values, self._back))
-
-    def _variates(self, kind: str) -> np.random.Generator:
-        """The generator, for a draw that reads its words directly: refused
-        while unread uniforms are pending, which it would skip."""
-        if len(self._back):
-            raise RuntimeError(f"{kind} draws cannot follow {len(self._back)} unread uniforms")
+    def _generator(self) -> np.random.Generator:
+        """The generator, built on first use."""
         if self._gen is None:
-            self.random_array(0)  # builds the generator; reads nothing
+            self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
         return self._gen
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal variates, read from the generator after every
         earlier draw, by NumPy's ziggurat: no cosine and no SIMD ufunc."""
-        return self._variates("normal").standard_normal(n)
+        return self._generator().standard_normal(n)
 
     def gamma(self, shape: float, n: int) -> np.ndarray:
         """``n`` standard Gamma(shape) variates, read from the generator after
         every earlier draw, so successive calls read fresh variates."""
-        return self._variates("gamma").standard_gamma(shape, n)
+        return self._generator().standard_gamma(shape, n)
 
     def exponential(self, rate: float) -> float:
         """Exponential variate with the given rate, by inverse transform."""

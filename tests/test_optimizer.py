@@ -22,9 +22,10 @@ from qsf.optimizer import (
     step_size_b,
 )
 from qsf.oracles import lambda_q, smoothed_gradient_1d
-from qsf.qgauss import sample_vector
+from qsf.qgauss import QGaussianSpec, sample_lanes
 from qsf.queuesim import QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream
+from helpers import HeadStream, ndarray_loop
 from test_qgauss import BAD_BETA, BAD_Q
 
 
@@ -308,42 +309,7 @@ def test_fast_timescale_tracks_scaled_smoothed_gradient(q, seed, tol):
 
 
 # ---------------------------------------------------------------------------
-# bit-exactness of the float loop against the ndarray loop it replaced
-
-
-def ndarray_loop(system, cfg, sample_q, weighted, frozen_theta=None):
-    """Reference: the per-block loop with ndarray theta and Z and one
-    sample_vector call per block. With ``frozen_theta``, theta stays there
-    and only the tracker runs, as the diagnostic did on its own."""
-    slow = frozen_theta is None
-    theta = cfg.theta0.copy() if slow else np.asarray(frozen_theta, dtype=float)
-    dim = theta.shape[0]
-    pert_rng = cfg.seed.child("perturbation")
-    coef = (1.0 - sample_q) / (3.0 - sample_q)
-    beta, ell, guard = cfg.beta, cfg.samples_per_iteration, 1e12
-    z = np.zeros(dim)
-    records = [IterationRecord(0, theta.copy(), z.copy(), math.nan)]
-    for n in range(cfg.num_iterations):
-        eta = sample_vector(pert_rng, sample_q, dim)
-        w = 1.0 / (1.0 - coef * float(eta @ eta)) if weighted else 1.0
-        system.set_parameter(theta + beta * eta)
-        b = step_size_b(n)
-        alpha = 1.0 - b
-        z_start = z
-        s = 0.0
-        cost_sum = 0.0
-        for _ in range(ell):
-            h = system.step()
-            cost_sum += h
-            s = alpha * s + h
-        z = (alpha**ell) * z + (b * w / beta) * s * eta
-        if not np.abs(z).max() <= guard:
-            raise DivergenceError(iteration=n, perturbation=eta, cost=h, z=z)
-        if slow:
-            z_update = z_start if cfg.use_block_start_z else z
-            theta = project(theta - step_size_a(n) * z_update, cfg.box_min, cfg.box_max)
-            records.append(IterationRecord(n + 1, theta.copy(), z.copy(), cost_sum / ell))
-    return RunTrace(records=tuple(records), final_theta=theta, final_z=z)
+# bit-exactness of the lane loop against the per-block ndarray reference
 
 
 def outcome(run):
@@ -443,6 +409,8 @@ def test_vecdot_rows_equal_per_row_matmul():
 class ScriptedSeed(RngStream):
     """A seed whose perturbation stream starts with ``head``, then runs on."""
 
+    __slots__ = ("head",)
+
     def __init__(self, seed, head):
         super().__init__(seed)
         self.head = head
@@ -450,20 +418,20 @@ class ScriptedSeed(RngStream):
     def child(self, *tags):
         stream = super().child(*tags)
         if tags == ("perturbation",):
-            stream.unread(self.head)
+            return HeadStream(stream.seed, self.head, stream.stream_id)
         return stream
 
 
-def lane_cfg(q, beta, seed):
+def lane_cfg(q, beta, seed, m=150):
     # Uniforms for 40 blocks in dim 4: an exact zero in block 3, which the
     # stream's reader skips, and for q < 1 a draw on the support radius in
-    # block 6 (u1 -> 0, u2 = 1/2 give |z| = sqrt((3-q)/(1-q))), which
-    # sample_vector redraws.
+    # block 6 (u1 -> 0, u2 = 1/2 give |z| = sqrt((3-q)/(1-q))), which the
+    # lane redraws from the uniforms after its chunk.
     raw = np.random.default_rng(seed).uniform(0.05, 0.95, (40, 2, 4))
     raw[3, 1, 2] = 0.0
     if q < 1.0:
         raw[6, 0, 1], raw[6, 1, 1] = 1e-300, 0.5
-    return replace(network_cfg(q, seed, False, beta=beta), seed=ScriptedSeed(seed, raw.ravel()))
+    return replace(network_cfg(q, seed, False, m=m, beta=beta), seed=ScriptedSeed(seed, raw.ravel()))
 
 
 LANE_QS = (0.0, 0.5, 0.9, 1.0, 1.5, 2.5)
@@ -481,20 +449,46 @@ def replay(result):
 def test_lanes_match_one_lane_runs_bitwise(monkeypatch):
     cells = [(q, beta) for q in LANE_QS for beta in (0.25, 2.5)]
     cfgs = [lane_cfg(q, beta, 50 + i) for i, (q, beta) in enumerate(cells)]
-    fallbacks = set()  # the seeds of the lanes that fall back to sample_vector
-    draw = qgauss.sample_vector
+    redrawn = set()  # the seeds of the lanes that redraw a boundary value
+    redraw = qgauss._redraw_near_radius
 
-    def counted(rng, q, dim):
-        fallbacks.add(rng.seed)
-        return draw(rng, q, dim)
+    def counted(rng, q, z):
+        redrawn.add(rng.seed)
+        return redraw(rng, q, z)
 
-    monkeypatch.setattr(qgauss, "sample_vector", counted)
+    monkeypatch.setattr(qgauss, "_redraw_near_radius", counted)
     lanes = run_lanes([fresh_network(i) for i in range(len(cfgs))], cfgs[0],
                       [(c.q, c.beta, c.seed) for c in cfgs], keep_records=True)
-    assert fallbacks == {cfg.seed.seed for cfg in cfgs if cfg.q < 1.0}  # the boundary lanes
+    monkeypatch.setattr(qgauss, "_redraw_near_radius", redraw)
+    assert redrawn == {cfg.seed.seed for cfg in cfgs if cfg.q < 1.0}  # the boundary lanes
     for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
         got = outcome(replay(lane))
         assert got[0] == "ran" and len(got[3]) == cfg.num_iterations + 1
+        assert got == outcome(lambda: run_qsf(fresh_network(i), cfg))
+        assert got == outcome(lambda: ndarray_loop(fresh_network(i), cfg, cfg.q, True))
+
+
+def test_a_negative_q_lane_redraws_from_after_its_chunk():
+    # q = -1 in a 40-block run, so one chunk of 40 blocks: the chunk's
+    # transform, save its one boundary value, which is redrawn from the two
+    # uniforms after the chunk, u1 then u2. The lane, run beside a q = 1.5
+    # lane, equals its one-lane run and the reference loop.
+    cfgs = [lane_cfg(-1.0, 0.25, 90, m=40), lane_cfg(1.5, 0.25, 91, m=40)]
+    q, radius = cfgs[0].q, QGaussianSpec(cfgs[0].q).radius
+    etas = sample_lanes([cfgs[0].seed.child("perturbation")], [q], 4, 40)[:, 0]
+    stream = cfgs[0].seed.child("perturbation")
+    u = stream.random_array(40 * 2 * 4).reshape(40, 2, 4)
+    want = qgauss._box_muller_transform(u[:, 0].copy(), u[:, 1].copy(), q)
+    edge = np.flatnonzero(radius - np.abs(want) < qgauss.BOUNDARY_MARGIN).tolist()
+    assert edge == [6 * 4]  # block 6, its first component once block 3's zero is skipped
+    want[6, 0] = qgauss._box_muller_transform(stream.random_array(1), stream.random_array(1), q)[0]
+    assert etas.tobytes() == want.tobytes()
+    assert abs(etas[6, 0]) < radius - qgauss.BOUNDARY_MARGIN
+    lanes = run_lanes([fresh_network(i) for i in range(2)], cfgs[0],
+                      [(c.q, c.beta, c.seed) for c in cfgs], keep_records=True)
+    for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
+        got = outcome(replay(lane))
+        assert got[0] == "ran" and len(got[3]) == 41
         assert got == outcome(lambda: run_qsf(fresh_network(i), cfg))
         assert got == outcome(lambda: ndarray_loop(fresh_network(i), cfg, cfg.q, True))
 

@@ -23,7 +23,6 @@ from qsf.oracles import (
 )
 from qsf.qgauss import (
     QGaussianSpec,
-    cutoff_radius,
     max_normalizable_q,
     q_log,
     sample_batch,
@@ -33,7 +32,13 @@ from qsf.qgauss import (
 )
 from qsf.harness import PAPER_Q_GRID
 from qsf.rng import RngStream
-from test_rng import scripted_stream
+from helpers import (
+    HeadStream,
+    ScriptedGenerator,
+    reference_lane,
+    reference_sample_batch,
+    scripted_stream,
+)
 
 Q_GRID = (0.0, 0.5, 0.9, 1.5, 2.0, 2.5)
 
@@ -68,7 +73,7 @@ def escort_weight(z, q: float):
 def oracle_moment(q: float, k: int) -> float:
     """Ordinary k-th moment of the standard univariate density by quadrature."""
     spec = QGaussianSpec(q)
-    lo = -cutoff_radius(q) if q < 1.0 else -math.inf
+    lo = -spec.radius
     hi = -lo
     val, _ = integrate.quad(lambda x: x**k * pdf(x, spec), lo, hi, limit=400)
     return val
@@ -107,14 +112,10 @@ def test_q_log_rejects_zero():
 
 
 def test_support_examples():
-    assert cutoff_radius(0.0) == pytest.approx(math.sqrt(3.0), rel=1e-15)
-    for q in (1.0, 1.5):  # the support is all of R
-        with pytest.raises(ValueError):
-            cutoff_radius(q)
-
-    radius = cutoff_radius(0.5, 2.0)
+    assert QGaussianSpec(0.0).radius == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    radius = QGaussianSpec(0.5, 2.0).radius
     assert radius == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-12)
-    assert QGaussianSpec(0.5, 2.0).radius == radius
+    # the support is all of R
     assert QGaussianSpec(1.0).radius == QGaussianSpec(1.5, 2.0).radius == math.inf
     # density vanishes just outside the computed radius
     assert pdf(radius + 1e-9, QGaussianSpec(0.5, 2.0)) == 0.0
@@ -246,15 +247,14 @@ def test_normalization_grid(q, beta, dim):
     if q > 1.0 and q >= max_normalizable_q(dim):
         pytest.skip("density not integrable for this (q, dim)")
     spec = QGaussianSpec(q, beta, dim)
-    r_max = cutoff_radius(q, beta) if q < 1.0 else math.inf
-    mass = radial_integral(lambda r: radial_pdf(r * r, spec), dim, r_max)
+    mass = radial_integral(lambda r: radial_pdf(r * r, spec), dim, spec.radius)
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
 def test_cutoff_exact_zero(q):
     spec = QGaussianSpec(q)
-    r = cutoff_radius(q)
+    r = spec.radius
     # math.nextafter(r, inf) is the first float at or beyond the true radius
     for x in (math.nextafter(r, math.inf), r + 1e-12, 2.0 * r, 10.0 * r):
         assert pdf(x, spec) == 0.0
@@ -273,7 +273,7 @@ def test_full_space_positive(q):
 @pytest.mark.parametrize("q", Q_GRID)
 def test_scale_family(q):
     std = QGaussianSpec(q)
-    edge = cutoff_radius(q) if q < 1.0 else 6.0
+    edge = std.radius if q < 1.0 else 6.0
     zs = np.linspace(-0.95, 0.95, 21) * edge
     for beta in (0.1, 0.7, 2.3):
         spec = QGaussianSpec(q, beta)
@@ -318,7 +318,7 @@ class ScriptedUniforms:
 
 def test_boundary_draws_are_redrawn_in_place():
     # u1 -> 0 with cos(2 pi u2) = -1 lands on the q = 0 support radius sqrt(3)
-    radius = qgauss.cutoff_radius(0.0)
+    radius = QGaussianSpec(0.0).radius
     rng = ScriptedUniforms([0.3, 1e-300, 0.7], [0.1, 0.5, 0.9], [0.4], [0.2])
     z = sample_batch(rng, 0.0, 3)
     assert not rng.arrays
@@ -332,33 +332,6 @@ def test_boundary_draws_are_redrawn_in_place():
 # sides of multiples of EDGE values, where a sampler that read its uniforms
 # in blocks of that size would split them.
 EDGE = 65536
-
-
-def reference_sample_batch(rng, q, n):
-    """The sampler as whole-array steps, written out independently: the
-    transform and the boundary test each on all n values at once."""
-    q_prime = (1.0 + q) / (3.0 - q)
-
-    def box_muller(k):
-        u1 = rng.random_array(k)
-        u2 = rng.random_array(k)
-        if q_prime == 1.0:
-            r2 = -2.0 * np.log(u1)
-        else:
-            r2 = -2.0 * ((u1 ** (1.0 - q_prime) - 1.0) / (1.0 - q_prime))
-        np.maximum(r2, 0.0, out=r2)
-        return np.sqrt(r2) * np.cos(2.0 * math.pi * u2)
-
-    z = box_muller(n)
-    if q >= 1.0:
-        return z
-    radius = cutoff_radius(q)
-    pending = (radius - np.abs(z) < qgauss.BOUNDARY_MARGIN).nonzero()[0]
-    while pending.size:
-        redraw = box_muller(pending.size)
-        z[pending] = redraw
-        pending = pending[radius - np.abs(redraw) < qgauss.BOUNDARY_MARGIN]
-    return z
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 1.0, 1.5, 2.5])
@@ -386,20 +359,20 @@ def test_blocked_sampler_equals_whole_array_reference(q):
     # two top-ups, then for q < 1 redraws of two values and of one
     assert len(got_stream._gen.values) == (10 if q >= 1.0 else 4)
     if q < 1.0:
-        assert np.all(np.abs(got) < cutoff_radius(q) - qgauss.BOUNDARY_MARGIN)
+        assert np.all(np.abs(got) < QGaussianSpec(q).radius - qgauss.BOUNDARY_MARGIN)
 
 
 def assert_sampler_matches_reference(q, n, values, head=()):
-    """sample_batch on a stream that reads ``head`` (put back by unread),
-    then ``values``, equals reference_sample_batch on the same stream, bit
-    for bit, and leaves the same values unread."""
-    got_stream, want_stream = scripted_stream(values), scripted_stream(values)
+    """sample_batch on a stream that reads ``head``, then ``values``, equals
+    reference_sample_batch on the same stream, bit for bit, and leaves the
+    same values unread."""
+    got_stream, want_stream = HeadStream(0, head), HeadStream(0, head)
     for s in (got_stream, want_stream):
-        s.unread(np.asarray(head, dtype=float))
+        s._gen = ScriptedGenerator(values)
     got = sample_batch(got_stream, q, n)
     want = reference_sample_batch(want_stream, q, n)
     assert got.tobytes() == want.tobytes()
-    assert got_stream._back.tobytes() == want_stream._back.tobytes()
+    assert got_stream.head.tobytes() == want_stream.head.tobytes()
     assert got_stream._gen.values == want_stream._gen.values
     return got_stream
 
@@ -433,9 +406,9 @@ def test_streamed_sampler_two_zeros_in_one_block(q):
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.5])
 def test_streamed_sampler_after_unread_values(q):
-    # the sample_lanes fallback path: the stream first hands back values
-    # put back by unread, which end past U2's first edge, one of them a U2
-    # zero, then its generator, which holds another U2 zero
+    # the stream first hands out a scripted head, which ends past U2's
+    # first edge and holds a U2 zero, then its generator, which holds
+    # another U2 zero
     b = EDGE
     n = 2 * b + 100
     values = RngStream(78).random_array(2 * n + 10)
@@ -443,7 +416,7 @@ def test_streamed_sampler_after_unread_values(q):
     head[n + 9] = 0.0
     rest[20] = 0.0
     stream = assert_sampler_matches_reference(q, n, rest, head)
-    assert not len(stream._back) and len(stream._gen.values) == 8
+    assert not len(stream.head) and len(stream._gen.values) == 8
 
 
 def reference_sample_matrix(gen, q, rows, dim):
@@ -492,7 +465,7 @@ def test_sample_vector_matches_batch_distribution():
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
 def test_sampler_respects_cutoff(q):
     z = sample_batch(RngStream(21, int(q * 10)), q, 200000)
-    assert np.all(np.abs(z) < cutoff_radius(q))
+    assert np.all(np.abs(z) < QGaussianSpec(q).radius)
 
 
 def test_sampler_gaussian_limit_is_box_muller():
@@ -565,25 +538,26 @@ def sample_vector_blocks(rng, q, dim, blocks):
     return np.array([sample_vector(rng, q, dim) for _ in range(blocks)])
 
 
-def assert_lanes_match_sample_vector(make_streams, qs, dim, chunks):
+def assert_lanes_match(make_streams, qs, dim, chunks, reference=sample_vector_blocks):
     """sample_lanes over chunks of the given block counts equals, lane by
-    lane, as many successive sample_vector calls on identical streams, bit
-    for bit, and leaves each stream where those calls leave it."""
+    lane, ``reference(stream, q, dim, blocks)`` on identical streams, as
+    many successive sample_vector calls by default, bit for bit, and leaves
+    each stream where the reference leaves it."""
     lanes, single = make_streams(), make_streams()
     for blocks in chunks:
         got = sample_lanes(lanes, qs, dim, blocks)
         assert got.shape == (blocks, len(qs), dim)
         for k, q in enumerate(qs):
-            want = sample_vector_blocks(single[k], q, dim, blocks)
+            want = reference(single[k], q, dim, blocks)
             assert got[:, k].tobytes() == want.tobytes(), (q, dim, k)
     for a, b in zip(lanes, single):  # each lane read exactly its own blocks
         assert a.random_array(8).tobytes() == b.random_array(8).tobytes()
 
 
-def one_lane(make_stream, q, dim, blocks):
+def one_lane(make_stream, q, dim, blocks, reference=sample_vector_blocks):
     """The one-lane case, in chunks of 64 blocks as the lane loop reads them."""
     chunks = [64] * (blocks // 64) + ([blocks % 64] if blocks % 64 else [])
-    assert_lanes_match_sample_vector(lambda: [make_stream()], [q], dim, chunks)
+    assert_lanes_match(lambda: [make_stream()], [q], dim, chunks, reference)
 
 
 # The one-lane case of sample_lanes. The test names keep the name of the
@@ -604,9 +578,7 @@ def test_sample_vectors_past_the_chunk_cap():
 
 def scripted_head(values, seed=63):
     """A stream whose next draws are ``values``, then its own sequence."""
-    s = RngStream(seed)
-    s.unread(np.asarray(values, dtype=float))
-    return s
+    return HeadStream(seed, values)
 
 
 def raw_blocks(blocks, dim, seed=64):
@@ -633,19 +605,45 @@ def boundary_head(q, dim, k, seed=64):
     raw[k, 0, dim - 1], raw[k, 1, dim - 1] = 1e-300, 0.5
     # copies: the transform overwrites its arguments
     z_edge = qgauss._box_muller_transform(raw[k, 0].copy(), raw[k, 1].copy(), q)
-    assert cutoff_radius(q) - abs(z_edge[-1]) < qgauss.BOUNDARY_MARGIN
+    assert QGaussianSpec(q).radius - abs(z_edge[-1]) < qgauss.BOUNDARY_MARGIN
     return raw.ravel(), z_edge[-1]
 
 
 @pytest.mark.parametrize("dim", [1, 4])
 def test_sample_vectors_boundary_redraw_mid_chunk(dim):
-    # at q = 0.5 the radius is sqrt(5)
+    # at q = 0.5 the radius is sqrt(5). The lane redraws the boundary value
+    # from the two uniforms after its chunk, u1 then u2, and keeps every
+    # other value of the chunk's transform; so it equals the chunked
+    # reference, not per-block sample_vector calls, which redraw mid-chunk
     q, k = 0.5, 6
     head, z_edge = boundary_head(q, dim, k)
-    one_lane(lambda: scripted_head(head), q, dim, 60)
+    one_lane(lambda: scripted_head(head), q, dim, 60, reference=reference_lane)
     got = sample_lanes([scripted_head(head)], [q], dim, 64)[:, 0]
-    assert np.all(np.abs(got[k]) < cutoff_radius(q) - qgauss.BOUNDARY_MARGIN)
-    assert got[k][-1] != z_edge  # redrawn
+    assert np.all(np.abs(got[k]) < QGaussianSpec(q).radius - qgauss.BOUNDARY_MARGIN)
+    stream = scripted_head(head)
+    u = stream.random_array(64 * 2 * dim).reshape(64, 2, dim)
+    want = qgauss._box_muller_transform(u[:, 0].copy(), u[:, 1].copy(), q)
+    assert want[k, -1] == z_edge
+    want[k, -1] = qgauss._box_muller_transform(stream.random_array(1), stream.random_array(1), q)[0]
+    assert got.tobytes() == want.tobytes() and got[k, -1] != z_edge
+    assert got.tobytes() != sample_vector_blocks(scripted_head(head), q, dim, 64).tobytes()
+    # a one-block chunk redraws as sample_vector does
+    block = head[2 * dim * k :]
+    one = sample_lanes([scripted_head(block)], [q], dim, 1)[0, 0]
+    assert one.tobytes() == sample_vector(scripted_head(block), q, dim).tobytes()
+
+
+@pytest.mark.parametrize("q", [q for q in PAPER_Q_GRID if q < 1.0])
+def test_no_philox_uniform_draws_within_the_boundary_margin(q):
+    # Philox uniforms are multiples of 2^-53, so u1 = 2^-53 is the smallest
+    # the stream's reader returns and gives the largest |z|; with u2 = 2^-53
+    # or 1/2, |cos(2 pi u2)| = 1. Even that draw lies more than the margin
+    # inside the radius, so the redraw cannot fire on the paper grid.
+    tiny = 2.0**-53
+    for u2 in (tiny, 0.5):
+        assert abs(math.cos(2.0 * math.pi * u2)) == 1.0
+        z = qgauss._box_muller_transform(np.array([tiny]), np.array([u2]), q)
+        assert QGaussianSpec(q).radius - abs(z[0]) > qgauss.BOUNDARY_MARGIN
 
 
 @pytest.mark.parametrize("dim", [1, 4])
@@ -653,10 +651,10 @@ def test_sample_lanes_paper_grid_in_one_batch(dim):
     # all 15 paper q values as lanes of one batch, twice over, so the two
     # lanes of each q sit 15 lanes apart; then each q as one lane
     qs = list(PAPER_Q_GRID) * 2
-    assert_lanes_match_sample_vector(
+    assert_lanes_match(
         lambda: [RngStream(67, k) for k in range(len(qs))], qs, dim, (64, 64, 7))
     qs = list(PAPER_Q_GRID)
-    assert_lanes_match_sample_vector(
+    assert_lanes_match(
         lambda: [RngStream(68, k) for k in range(len(qs))], qs, dim, (64, 9))
 
 
@@ -692,8 +690,9 @@ def test_box_muller_transform_works_in_its_arguments():
 
 def test_sample_lanes_zero_and_boundary_lanes_mid_chunk(monkeypatch):
     # lane 1 has an exact zero in block 5 and lane 3 a support-boundary draw
-    # in block 9; only lane 3 falls back to sample_vector, and every lane
-    # keeps its bits
+    # in block 9; only lane 3 redraws, from the uniforms after its chunk,
+    # the other lanes equal their per-block sample_vector calls, and every
+    # lane equals the chunked reference
     q, dim = 0.5, 4
     zero = raw_blocks(40, dim, seed=68)
     zero[5, 1, 3] = 0.0
@@ -704,19 +703,22 @@ def test_sample_lanes_zero_and_boundary_lanes_mid_chunk(monkeypatch):
         return [RngStream(70), scripted_head(zero.ravel()), RngStream(71),
                 scripted_head(edge, seed=72), RngStream(73)]
 
-    calls = []
-    draw = qgauss.sample_vector
+    redrawn = []
+    redraw = qgauss._redraw_near_radius
 
-    def counted(rng, q, dim):
-        calls.append(rng)
-        return draw(rng, q, dim)
+    def counted(rng, q, z):
+        redrawn.append(rng)
+        return redraw(rng, q, z)
 
     lanes = streams()
-    monkeypatch.setattr(qgauss, "sample_vector", counted)
-    sample_lanes(lanes, qs, dim, 64)
-    assert set(calls) == {lanes[3]}
-    monkeypatch.setattr(qgauss, "sample_vector", draw)
-    assert_lanes_match_sample_vector(streams, qs, dim, (64, 30))
+    monkeypatch.setattr(qgauss, "_redraw_near_radius", counted)
+    got = sample_lanes(lanes, qs, dim, 64)
+    assert redrawn == [lanes[3]]
+    monkeypatch.setattr(qgauss, "_redraw_near_radius", redraw)
+    for k, stream in enumerate(streams()):
+        want = sample_vector_blocks(stream, qs[k], dim, 64)
+        assert (got[:, k].tobytes() == want.tobytes()) == (k != 3), k
+    assert_lanes_match(streams, qs, dim, (64, 30), reference=reference_lane)
 
 
 def test_sample_lanes_after_a_dropped_lane():

@@ -10,6 +10,7 @@ from scipy import stats
 
 from qsf.queuesim import QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream
+from helpers import HeadStream
 
 
 def make_net(seed=1, theta=None, **cfg_kw):
@@ -406,8 +407,7 @@ class ZeroHeads(RngStream):
 
     def child(self, *tags):
         stream = super().child(*tags)
-        stream.unread(self.HEAD)
-        return stream
+        return HeadStream(stream.seed, self.HEAD, stream.stream_id)
 
 
 @pytest.mark.parametrize("count_in_service", [True, False])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qsf.queuesim import _SVC1, QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream, _PhiloxKey, derive_stream_id
+from helpers import HeadStream, ScriptedGenerator, scripted_stream
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -36,27 +37,6 @@ def test_mixed_requests_read_the_plain_philox_sequence(seed, sid):
     assert np.array_equal(np.array(got), want)
 
 
-class ScriptedGenerator:
-    """Stand-in for the Philox generator that hands out fixed values in order."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, size=None, out=None):
-        n = size if out is None else len(out)
-        vals, self.values = self.values[:n], self.values[n:]
-        if out is None:
-            return np.array(vals)
-        out[:] = vals
-        return out
-
-
-def scripted_stream(values):
-    s = RngStream(0)
-    s._gen = ScriptedGenerator(values)
-    return s
-
-
 def test_philox_key_refuses_other_state_requests():
     with pytest.raises(RuntimeError, match="not the 2 uint64 key words"):
         _PhiloxKey(3, 5).generate_state(4, np.uint32)
@@ -80,12 +60,12 @@ def test_exact_zeros_in_array_are_skipped():
 def scripted_with_zeros(nonzero, zeros_before, head):
     """A stream whose sequence is ``nonzero`` with an exact zero put before
     each of its indices in ``zeros_before``; the first ``head`` values are
-    put back by unread, the rest come from its generator."""
+    a scripted head, the rest come from its generator."""
     values = list(nonzero)
     for i in sorted(zeros_before, reverse=True):
         values.insert(i, 0.0)
-    s = scripted_stream(values[head:])
-    s.unread(np.array(values[:head]))
+    s = HeadStream(0, values[:head])
+    s._gen = ScriptedGenerator(values[head:])
     return s
 
 
@@ -98,7 +78,7 @@ def lookahead_reader(s, n):
 
 
 def test_every_reader_gets_the_same_nonzero_subsequence():
-    # zeros among the unread values; the lookahead's first 32-value chunk
+    # zeros among the head's values; the lookahead's first 32-value chunk
     # skips those, and its top-up read holds another zero; zeros open its
     # second chunk and sit on the edge of its second and third chunks
     nonzero = [(i + 1) / 1024 for i in range(700)]
@@ -110,33 +90,6 @@ def test_every_reader_gets_the_same_nonzero_subsequence():
     }
     for name, read in readers.items():
         assert read(scripted_with_zeros(nonzero, zeros_before, head=10)) == nonzero[:300], name
-
-
-READERS = {
-    "random": lambda s, n: [s.random() for _ in range(n)],
-    "random_array": lambda s, n: s.random_array(n).tolist(),
-}
-
-
-@pytest.mark.parametrize("take,back", [(0, 3), (5, 2), (40, 40), (3000, 1234), (20000, 1)])
-def test_unread_puts_raw_values_back_in_order(take, back):
-    # The unread tail is read again first, then the sequence carries on. With
-    # take = 0 three values go back on a fresh stream, before its generator
-    # is built, and are followed by the plain Philox sequence.
-    for name, read in READERS.items():
-        s, ref = RngStream(21, 4), RngStream(21, 4)
-        if take:
-            assert s.random() == ref.random()
-            head = s.random_array(take)
-            want = [ref.random() for _ in range(take + 50)]
-        else:
-            head = np.array([0.75, 0.5, 0.25])
-            want = head.tolist() + [ref.random() for _ in range(50)]
-        s.unread(head[len(head) - back :])
-        assert take or s._gen is None
-        s.unread(s.random_array(1))  # a put-back in front of what is left of another
-        got = head[: len(head) - back].tolist() + read(s, back + 20) + read(s, 30)
-        assert got == want, name
 
 
 def test_normal_and_gamma_read_the_plain_philox_sequence():
@@ -151,19 +104,6 @@ def test_normal_and_gamma_read_the_plain_philox_sequence():
     assert first.tobytes() + second.tobytes() == gen.standard_gamma(0.7, 1000).tobytes()
     assert not np.intersect1d(first, second).size
     assert s.random() == gen.random()
-
-
-@pytest.mark.parametrize("draw", [lambda s: s.normal(4), lambda s: s.gamma(2.0, 4)],
-                         ids=["normal", "gamma"])
-def test_normal_and_gamma_refuse_while_unread_values_are_pending(draw):
-    # they read the generator's words directly, so they would skip the
-    # uniforms put back; once those are read again, they draw
-    s, ref = RngStream(6), RngStream(6)
-    s.unread(s.random_array(5)[2:])
-    with pytest.raises(RuntimeError, match="cannot follow 3 unread uniforms"):
-        draw(s)
-    assert s.random_array(3).tobytes() == ref.random_array(5)[2:].tobytes()
-    assert draw(s).tobytes() == draw(ref).tobytes()
 
 
 def test_distinct_stream_ids_decorrelate():
