@@ -42,7 +42,7 @@ PAPER_Q_GRID = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6,
 PAPER_BETA_GRID = (0.0005, 0.005, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5)
 
 # Trials per run_lanes call. 32 lanes take the per-block NumPy calls off the
-# per-trial cost; larger batches gain little and hold more lanes (33 to 39 KB
+# per-trial cost; larger batches gain little and hold more lanes (29 to 38 KB
 # each at a chunk's peak, see qsf.optimizer) at once. perfbench
 # grid_short_blocks, five 20 s runs per size on a shared 2-core x86-64 VM,
 # median events/s and peak RSS: 32 lanes 2.11e5 and 39.1 MB, 64 lanes

@@ -12,17 +12,19 @@ q-variance (the second moment under the escort density p^q / int p^q), not
 the ordinary variance.
 
 :func:`sample_matrix`, the estimator's sampler, draws the joint N-variate
-law: a Gaussian vector scaled by one Gamma variate per row. The lane
-samplers (:func:`sample_batch`, :func:`sample_vector`, :func:`sample_lanes`)
-use the generalized Box-Muller transform: with q' = (1+q)/(3-q),
+law: a Gaussian vector scaled by one Gamma variate per row. The lanes'
+sampler, :func:`sample_lanes`, uses the generalized Box-Muller transform:
+with q' = (1+q)/(3-q) and the q'-logarithm ln_q'(u) = (u^(1-q') - 1)/(1-q')
+(ln u at q' = 1),
 
-    z = sqrt(-2 * q_log(U1, q')) * cos(2 pi U2)
+    z = sqrt(-2 ln_q'(U1)) * cos(2 pi U2)
 
 has exactly the standard (beta = 1) univariate density above; at q = 1 this
-is the classical Box-Muller transform. They draw a vector's components
-i.i.d., which is the joint law only in dim 1 or at q = 1. For q < 1 they
-share one rule, :func:`_redraw_near_radius`: a draw within BOUNDARY_MARGIN
-of the support radius is redrawn from the stream's next uniforms, as a
+is the classical Box-Muller transform. It draws a vector's components
+i.i.d., which is the joint law only in dim 1 or at q = 1;
+:func:`sample_batch` and :func:`sample_vector` are its one-lane, one-block
+calls. For q < 1, a draw within BOUNDARY_MARGIN of the support radius is
+redrawn from the stream's next uniforms (:func:`_redraw_near_radius`), as a
 stream only reads forward. Density evaluation lives in qsf.oracles.
 
 :func:`weight_base` is the one copy of the bracket 1 - (1-q)/((3-q) beta^2) |x|^2:
@@ -83,15 +85,6 @@ class QGaussianSpec:
         return self.beta * math.sqrt((3.0 - self.q) / (1.0 - self.q)) if self.q < 1.0 else math.inf
 
 
-def q_log(x: float, q: float) -> float:
-    """Deformed logarithm: (x^(1-q) - 1) / (1-q), natural log at q = 1."""
-    if x <= 0.0:
-        raise ValueError(f"q_log requires x > 0 (got {x})")
-    if q == 1.0:
-        return math.log(x)
-    return (x ** (1.0 - q) - 1.0) / (1.0 - q)
-
-
 def weight_base(r2, q, beta: float = 1.0, *, out=None):
     """The bracket 1 - (1-q)/((3-q) beta^2) * r2 at squared radius r2; q may be
     an array that broadcasts against r2. Given ``out``, an array of the
@@ -111,16 +104,16 @@ def max_normalizable_q(dim: int) -> float:
 
 def _box_muller_transform(u1: np.ndarray, u2: np.ndarray, q: float) -> np.ndarray:
     """Generalized Box-Muller draws of the q kernel from uniforms u1, u2 of
-    one shape; the one home of the index q' = (1+q)/(3-q).
+    one shape; the one home of the index q' = (1+q)/(3-q) and of ln_q'.
 
     Works in place: u1 and u2 are overwritten, and the draws are returned
     in u1. Each step is the ufunc of the whole-array expression
-    sqrt(max(-2 q_log(u1, q'), 0)) * cos(2 pi u2), so the bits are its bits.
+    sqrt(max(-2 ln_q'(u1), 0)) * cos(2 pi u2), so the bits are its bits.
     """
     q_prime = (1.0 + q) / (3.0 - q)
     if q_prime == 1.0:
         np.log(u1, out=u1)
-    else:  # q_log(u1, q') = (u1^(1-q') - 1) / (1-q')
+    else:  # ln_q'(u1) = (u1^(1-q') - 1) / (1-q')
         np.power(u1, 1.0 - q_prime, out=u1)
         np.subtract(u1, 1.0, out=u1)
         np.divide(u1, 1.0 - q_prime, out=u1)
@@ -154,14 +147,9 @@ def _redraw_near_radius(rng: RngStream, q: float, z: np.ndarray) -> np.ndarray:
 
 
 def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
-    """n independent draws from the standard (beta=1) distribution.
-
-    Draws within BOUNDARY_MARGIN of the compact-support radius (q < 1) are
-    redrawn so downstream estimator weights stay finite.
-    """
-    QGaussianSpec(q)  # before any draw
-    z = _box_muller_transform(rng.random_array(n), rng.random_array(n), q)
-    return _redraw_near_radius(rng, q, z) if q < 1.0 else z
+    """n independent draws from the standard (beta=1) distribution: one lane
+    of :func:`sample_lanes` that draws one block of n values."""
+    return sample_lanes([rng], [q], n, 1)[0, 0]
 
 
 def sample_vector(rng: RngStream, q: float, dim: int) -> np.ndarray:
@@ -176,20 +164,22 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     the q = qs[k] kernel, read from its stream ``rngs[k]``.
 
     Each lane's uniforms for all its blocks come from its own stream in one
-    :meth:`~qsf.rng.RngStream.random_array` call, laid out (blocks, 2, dim)
-    as ``blocks`` successive :func:`sample_vector` calls read them (dim
-    values of u1, then dim of u2). The lanes of each distinct q are stacked,
-    and their u1 and u2 copied into contiguous arrays, which the transform
-    works in by the same ufuncs with the same scalar q' (elementwise, so the
-    layout does not move a bit).
+    :meth:`~qsf.rng.RngStream.random_array` call, laid out (blocks, 2, dim):
+    each block reads dim values of u1, then dim of u2. The lanes of each
+    distinct q are stacked, and their u1 and u2 copied into contiguous
+    arrays, which the transform works in by the same ufuncs with the same
+    scalar q' (elementwise, so the layout does not move a bit).
 
     A lane (q < 1) whose chunk holds a value within BOUNDARY_MARGIN of the
     support radius has those values redrawn, in the chunk's flat order, from
-    the uniforms after its chunk, by the redraw rule of :func:`sample_batch`.
-    A lane whose chunk holds no such value, or that draws one block, equals
-    ``blocks`` successive sample_vector calls bit for bit, and reads exactly
-    what they read. No Philox uniform (each at least 2^-53) puts a draw of a
-    q >= 0 kernel that close to the radius.
+    the uniforms after its chunk (:func:`_redraw_near_radius`). A lane whose
+    chunk holds no such value, or that draws one block, equals ``blocks``
+    successive sample_vector calls bit for bit, and reads exactly what they
+    read. No Philox uniform (each at least 2^-53) puts a draw of a q >= 0
+    kernel that close to the radius.
+
+    Near q = 3, u1^(1-q') can overflow; then ConvergenceError names q, dim
+    and the count of infinite draws, and nothing is returned.
     """
     groups = {}
     for k, q in enumerate(qs):
@@ -200,7 +190,11 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     for q, ks in groups.items():
         u = np.array([rngs[k].random_array(blocks * 2 * dim) for k in ks])
         u1, u2 = u.reshape(len(ks), blocks, 2, dim).transpose(2, 1, 0, 3).copy()  # each (blocks, lanes, dim)
-        z = _box_muller_transform(u1, u2, q)
+        with np.errstate(over="ignore"):
+            z = _box_muller_transform(u1, u2, q)
+        if q > 1.0 and not np.isfinite(z).all():
+            bad = z.size - np.count_nonzero(np.isfinite(z))
+            raise ConvergenceError(f"q={q!r} in dim {dim}: {bad} of {z.size} draws overflowed to infinity")
         if q < 1.0:
             near = _near_radius(z, QGaussianSpec(q).radius).any(axis=(0, 2))
             for i in np.flatnonzero(near).tolist():

@@ -14,7 +14,8 @@ whose mean, for z drawn from the joint dim-variate density (as
 :func:`qsf.qgauss.sample_matrix` draws it), converges (beta -> 0) to
 ((3-q)/2) * grad J(theta) in every dimension. The positive factor is left
 in, as it does not change descent directions; it is not
-:func:`qsf.oracles.lambda_q` (that is E[w], equal to (3-q)/2 only in dim 1).
+:func:`qsf.oracles.lambda_q`, E[w] = 1 + dim (1-q)/2, which is (3-q)/2 only
+in dim 1.
 """
 
 from __future__ import annotations

@@ -194,3 +194,12 @@ def test_bad_config_reports_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_run_past_the_lane_law_numeric_edge_reports_error(tmp_path, capsys):
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(json.dumps({"q_values": [2.98], "beta_values": [0.25], "trials": 4,
+                               "optimizer": {"M": 2000, "L": 1}}))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: q=2.98 in dim 4: ")
+    assert not (tmp_path / "out" / "sweep.csv").exists()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qsf.errors import ConfigError
+from qsf.errors import ConfigError, ConvergenceError
 from qsf.harness import (
     LANE_BATCH,
     ExperimentConfig,
@@ -301,6 +301,15 @@ def test_divergent_cells_render_as_div(tmp_path):
     result = SweepResult(config=cfg, records=records)
     assert summarize(result)[1][1] == repr(2.0)
     assert result.cell_mean(0.9, 0.25) == 2.0
+
+
+def test_sweep_past_the_lane_law_numeric_edge_is_a_named_error():
+    # at q = 2.98 the lanes' draws overflow double range: the sweep stops with
+    # the sampler's error, which names q
+    cfg = tiny_config(q_values=(2.98,), trials=4,
+                      optimizer=OptimizerSettings(num_iterations=2000, samples_per_iteration=1))
+    with pytest.raises(ConvergenceError, match=r"q=2\.98 in dim 4: \d+ of 1024 draws overflowed"):
+        run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from qsf import qgauss
-from qsf.errors import QuadratureError
+from qsf.errors import ConvergenceError, QuadratureError
 from qsf.oracles import (
+    _weighted_pdf,
     cdf,
     lambda_q,
     normalizing_constant,
@@ -24,7 +23,6 @@ from qsf.oracles import (
 from qsf.qgauss import (
     QGaussianSpec,
     max_normalizable_q,
-    q_log,
     sample_batch,
     sample_matrix,
     sample_lanes,
@@ -35,14 +33,13 @@ from qsf.rng import RngStream
 from helpers import (
     HeadStream,
     ScriptedGenerator,
+    reference_box_muller,
     reference_lane,
     reference_sample_batch,
     scripted_stream,
 )
 
 Q_GRID = (0.0, 0.5, 0.9, 1.5, 2.0, 2.5)
-
-q_strategy = st.floats(min_value=-2.0, max_value=2.99, allow_nan=False)
 
 # Values that break one rule of the kernel each: q finite and < 3, beta
 # finite and > 0, the dimension an integer >= 1.
@@ -77,34 +74,6 @@ def oracle_moment(q: float, k: int) -> float:
     hi = -lo
     val, _ = integrate.quad(lambda x: x**k * pdf(x, spec), lo, hi, limit=400)
     return val
-
-
-# ---------------------------------------------------------------------------
-# q_log
-
-
-@given(q=q_strategy)
-@settings(max_examples=50, deadline=None)
-def test_q_log_at_one_is_zero(q):
-    assert q_log(1.0, q) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_q_log_examples():
-    assert q_log(math.e, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert q_log(2.0, 2.0) == pytest.approx(0.5, abs=1e-15)  # (2^-1 - 1)/(-1)
-    assert q_log(0.5, 1.0) == pytest.approx(math.log(0.5), abs=1e-15)
-
-
-@given(x=st.floats(min_value=-100.0, max_value=0.0, allow_nan=False))
-@settings(max_examples=10, deadline=None)
-def test_q_log_rejects_nonpositive(x):
-    with pytest.raises(ValueError):
-        q_log(x, 1.3)
-
-
-def test_q_log_rejects_zero():
-    with pytest.raises(ValueError):
-        q_log(0.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +288,11 @@ class ScriptedUniforms:
 def test_boundary_draws_are_redrawn_in_place():
     # u1 -> 0 with cos(2 pi u2) = -1 lands on the q = 0 support radius sqrt(3)
     radius = QGaussianSpec(0.0).radius
-    rng = ScriptedUniforms([0.3, 1e-300, 0.7], [0.1, 0.5, 0.9], [0.4], [0.2])
+    rng = HeadStream(0, [0.3, 1e-300, 0.7, 0.1, 0.5, 0.9, 0.4, 0.2])
     z = sample_batch(rng, 0.0, 3)
-    assert not rng.arrays
-    first = sample_batch(ScriptedUniforms([0.3, 0.7], [0.1, 0.9]), 0.0, 2)
-    redraw = sample_batch(ScriptedUniforms([0.4], [0.2]), 0.0, 1)
+    assert not len(rng.head) and rng._gen is None  # the redraw read the head's last two
+    first = sample_batch(HeadStream(0, [0.3, 0.7, 0.1, 0.9]), 0.0, 2)
+    redraw = sample_batch(HeadStream(0, [0.4, 0.2]), 0.0, 1)
     assert np.array_equal(z, [first[0], redraw[0], first[1]])
     assert np.all(np.abs(z) < radius)
 
@@ -750,6 +719,21 @@ def test_sample_lanes_refusal_leaves_the_streams_unread():
             assert lane.random_array(8).tobytes() == RngStream(75, k).random_array(8).tobytes()
 
 
+def test_lane_law_overflow_near_q3_is_named():
+    # at q = 2.98, q' = 199 and u^(1-q') overflows for u below about e^-3.6:
+    # a named error that counts the infinite draws, and no NumPy warning
+    n = 10**4
+    with np.errstate(over="ignore"):
+        want = np.count_nonzero(np.isinf(reference_box_muller(RngStream(1), 2.98, n)))
+    assert want > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=rf"q=2\.98 in dim {n}: {want} of {n} draws overflowed"):
+            sample_batch(RngStream(1), 2.98, n)
+        with pytest.raises(ConvergenceError, match=r"q=2\.98 in dim 4: \d+ of 1024 draws overflowed"):
+            sample_lanes([RngStream(2, k) for k in range(6)], [0.5, 2.98, 2.98, 1.5, 2.98, 2.98], 4, 64)
+
+
 def test_cdf_matches_student_t():
     # the q > 1 family coincides with a unit-scale Student-t with
     # nu = (3-q)/(q-1) degrees of freedom; q=1.5 gives nu=3
@@ -843,6 +827,18 @@ def test_q_expectation_refuses_dim_three():
         q_expectation(lambda v: 1.0, QGaussianSpec(0.5, dim=3))
 
 
+def quadrature_tsallis(spec: QGaussianSpec) -> float:
+    """(1 - int p^q) / (q - 1), or -int p ln p at q = 1, by radial quadrature."""
+    def plogp(r):
+        p = radial_pdf(r * r, spec)
+        return -p * math.log(p) if p > 0.0 else 0.0
+
+    if spec.q == 1.0:
+        return radial_integral(plogp, spec.dim, math.inf)
+    mass_q = radial_integral(lambda r: radial_pdf(r * r, spec) ** spec.q, spec.dim, spec.radius)
+    return (1.0 - mass_q) / (spec.q - 1.0)
+
+
 def test_tsallis_entropy_values():
     # Shannon limit: differential entropy of the standard normal
     assert tsallis_entropy(QGaussianSpec(1.0)) == pytest.approx(
@@ -852,6 +848,11 @@ def test_tsallis_entropy_values():
     sq_mass, _ = integrate.quad(lambda x: pdf(x, QGaussianSpec(2.0)) ** 2, -np.inf, np.inf)
     assert sq_mass == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-10)
     assert tsallis_entropy(QGaussianSpec(2.0)) == pytest.approx(1.0 - sq_mass, rel=1e-9)
+    # dims 3 and 4 against radial quadrature
+    for dim in (3, 4):
+        for q in (0.0, 0.5, 1.0, 1.2):
+            spec = QGaussianSpec(q, 0.7, dim)
+            assert tsallis_entropy(spec) == pytest.approx(quadrature_tsallis(spec), rel=1e-9), (q, dim)
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
@@ -875,9 +876,20 @@ def test_lambda_q_univariate_closed_form(q):
     assert lambda_q(q, 1) == pytest.approx((3.0 - q) / 2.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("q,dim", [(0.5, 2), (0.5, 4), (1.5, 2), (0.9, 3)])
+def quadrature_lambda_q(q: float, dim: int) -> float:
+    """E[w] by radial quadrature of the weighted standard density."""
+    spec = QGaussianSpec(q, dim=dim)
+    return radial_integral(lambda r: _weighted_pdf(r * r, spec), dim, spec.radius)
+
+
+@pytest.mark.parametrize(
+    "q,dim",
+    [(q, dim) for q in (-1.0, 0.0, 0.5, 0.9, 1.2, 1.5, 2.0, 2.5) for dim in (1, 2, 4, 8)
+     if q < max_normalizable_q(dim)] + [(0.9, 3)],
+)
 def test_lambda_q_multivariate_closed_form(q, dim):
-    assert lambda_q(q, dim) == pytest.approx(1.0 - dim * (q - 1.0) / 2.0, rel=1e-9)
+    assert lambda_q(q, dim) == 1.0 - dim * (q - 1.0) / 2.0
+    assert lambda_q(q, dim) == pytest.approx(quadrature_lambda_q(q, dim), rel=1e-9)
 
 
 def test_lambda_q_rejects_nonintegrable_dim():

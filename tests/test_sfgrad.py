@@ -409,7 +409,7 @@ def test_escort_identity_monomials(q, power):
     f = lambda x: x**power
     if q == 2.0 and power == 4:
         # both defining integrals have non-integrable tails here
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="did not converge"):
             escort_identity_check(f, q)
         return
     lhs, rhs = escort_identity_check(f, q)
@@ -420,6 +420,24 @@ def test_escort_identity_monomials(q, power):
         # independent oracle for the escort fourth moment
         oracle = q_expectation(f, QGaussianSpec(q))
         assert lhs == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "f,q",
+    [
+        pytest.param(lambda x: x**3, 2.0, id="x^3-2.0"),
+        pytest.param(lambda x: x**3 + 1.0, 2.0, id="x^3+1-2.0"),
+        pytest.param(lambda x: x**5, 1.5, id="x^5-1.5"),
+        pytest.param(lambda x: abs(x) ** 3, 2.0, id="|x|^3-2.0"),
+        pytest.param(lambda x: abs(x) ** 3, 2.5, id="|x|^3-2.5"),
+    ],
+)
+def test_escort_identity_refuses_divergent_pairs(f, q):
+    # more pairs like (x^4, q = 2) of test_escort_identity_monomials: a tail
+    # with no finite integral makes QUADPACK warn, which the checked
+    # quadrature turns into QuadratureError, so the check returns no number
+    with pytest.raises(QuadratureError, match="did not converge"):
+        escort_identity_check(f, q)
 
 
 def test_escort_identity_dim2():
@@ -463,6 +481,10 @@ def test_kernel_report_gaussian_baseline():
     errs = properties(report)["P5-smoothing-limit"]["detail"]["errors"]
     for beta, err in zip(BETAS, errs):
         assert err == pytest.approx(1.0 - math.exp(-beta * beta / 2.0), rel=1e-6)
+    # and its mass outside [-0.5, 0.5] is erfc(0.5 / (beta sqrt 2))
+    outside = properties(report)["P4-concentration"]["detail"]["mass_outside"]
+    for beta, mass in zip(BETAS, outside):
+        assert mass == pytest.approx(math.erfc(0.5 / (beta * math.sqrt(2.0))), rel=1e-9, abs=1e-15)
 
 
 def test_kernel_report_serializes():
