@@ -186,14 +186,21 @@ def _weighted_pdf(r2: float, spec: QGaussianSpec) -> float:
     return p / weight_base(r2, spec.q, spec.beta) if p > 0.0 else 0.0
 
 
+def _halves_checked(f: Callable[[float], float], r: float, **tol) -> float:
+    """Integrate ``f`` on [-r, r] as f(x) and f(-x) on [0, r], each checked
+    apart, so a tail with no finite integral raises QuadratureError rather
+    than cancel against the other in one QUADPACK call."""
+    return quad_checked(f, 0.0, r, **tol) + quad_checked(lambda x: f(-x), 0.0, r, **tol)
+
+
 def q_expectation(f: Callable, spec: QGaussianSpec) -> float:
     """Expectation of f under the escort density p^q / int p^q, by adaptive
     quadrature: f takes a scalar for dim=1, a length-2 vector for dim=2."""
     r = spec.radius
     if spec.dim == 1:
         power = lambda x: pdf(x, spec) ** spec.q
-        num = quad_checked(lambda x: f(x) * power(x), -r, r)
-        den = quad_checked(power, -r, r)
+        num = _halves_checked(lambda x: f(x) * power(x), r)
+        den = _halves_checked(power, r)
     elif spec.dim == 2:
         power = lambda y, x: pdf((x, y), spec) ** spec.q
         num = dblquad_checked(lambda y, x: f(np.array([x, y])) * power(y, x), -r, r)
@@ -261,19 +268,13 @@ def escort_identity_check(f: Callable, q: float, dim: int = 1) -> tuple[float, f
     if dim not in (1, 2):
         raise ValueError("escort_identity_check supports dim in {1, 2}")
     spec = QGaussianSpec(q, dim=dim)
-    lam = lambda_q(q, dim)
     r = spec.radius
-    if dim == 1:
-        weighted = lambda x: f(x) * _weighted_pdf(x * x, spec)
-        lhs = q_expectation(f, spec)
-        rhs = quad_checked(weighted, 0.0, r, atol=1e-12, rtol=1e-9) + quad_checked(
-            lambda z: weighted(-z), 0.0, r, atol=1e-12, rtol=1e-9
-        )
-        return lhs, rhs / lam
-    # dim == 2: plain (non-radial) double quadrature for generic f
     lhs = q_expectation(f, spec)
-    rhs = dblquad_checked(lambda y, x: f(np.array([x, y])) * _weighted_pdf(x * x + y * y, spec), -r, r)
-    return lhs, rhs / lam
+    if dim == 1:
+        rhs = _halves_checked(lambda x: f(x) * _weighted_pdf(x * x, spec), r, atol=1e-12, rtol=1e-9)
+    else:  # plain (non-radial) double quadrature for generic f
+        rhs = dblquad_checked(lambda y, x: f(np.array([x, y])) * _weighted_pdf(x * x + y * y, spec), -r, r)
+    return lhs, rhs / lambda_q(q, dim)
 
 
 def _grad_formula(x: float, spec_b: QGaussianSpec) -> float:

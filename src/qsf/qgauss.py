@@ -23,9 +23,10 @@ has exactly the standard (beta = 1) univariate density above; at q = 1 this
 is the classical Box-Muller transform. It draws a vector's components
 i.i.d., which is the joint law only in dim 1 or at q = 1;
 :func:`sample_batch` and :func:`sample_vector` are its one-lane, one-block
-calls. For q < 1, a draw within BOUNDARY_MARGIN of the support radius is
-redrawn from the stream's next uniforms (:func:`_redraw_near_radius`), as a
-stream only reads forward. Density evaluation lives in qsf.oracles.
+calls. Each value is drawn once, from two uniforms, and kept. No Philox
+uniform puts a q >= 0 draw on the support radius; where a draw near it has
+a weight that takes a lane's tracker out of its band, the optimizer's guard
+Z_GUARD drops the lane. Density evaluation lives in qsf.oracles.
 
 :func:`weight_base` is the one copy of the bracket 1 - (1-q)/((3-q) beta^2) |x|^2:
 the density raises it to 1/(1-q), and the estimator weight of qsf.sfgrad and
@@ -45,11 +46,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .rng import RngStream
-
-# Margin (absolute, in standard units) inside the compact support within which
-# draws are rejected and redrawn: the estimator weight 1/(1 - |z|^2/R^2-ish)
-# would overflow on the boundary shell.
-BOUNDARY_MARGIN = 1e-12
 
 
 def check_size(name: str, value) -> None:
@@ -126,26 +122,6 @@ def _box_muller_transform(u1: np.ndarray, u2: np.ndarray, q: float) -> np.ndarra
     return u1
 
 
-def _near_radius(z: np.ndarray, radius: float) -> np.ndarray:
-    """radius - |z| < BOUNDARY_MARGIN, elementwise, with one float temporary."""
-    gap = np.abs(z)
-    np.subtract(radius, gap, out=gap)
-    return gap < BOUNDARY_MARGIN
-
-
-def _redraw_near_radius(rng: RngStream, q: float, z: np.ndarray) -> np.ndarray:
-    """Redraw, in flat order, each value of z within BOUNDARY_MARGIN of the
-    q < 1 support radius, from the next uniforms of ``rng``, until none is
-    left; z (an array or a view of one) is changed in place and returned."""
-    radius = QGaussianSpec(q).radius
-    pending = np.flatnonzero(_near_radius(z, radius))
-    while pending.size:
-        redraw = _box_muller_transform(rng.random_array(pending.size), rng.random_array(pending.size), q)
-        z.flat[pending] = redraw
-        pending = pending[_near_radius(redraw, radius)]
-    return z
-
-
 def sample_batch(rng: RngStream, q: float, n: int) -> np.ndarray:
     """n independent draws from the standard (beta=1) distribution: one lane
     of :func:`sample_lanes` that draws one block of n values."""
@@ -170,13 +146,10 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     arrays, which the transform works in by the same ufuncs with the same
     scalar q' (elementwise, so the layout does not move a bit).
 
-    A lane (q < 1) whose chunk holds a value within BOUNDARY_MARGIN of the
-    support radius has those values redrawn, in the chunk's flat order, from
-    the uniforms after its chunk (:func:`_redraw_near_radius`). A lane whose
-    chunk holds no such value, or that draws one block, equals ``blocks``
-    successive sample_vector calls bit for bit, and reads exactly what they
-    read. No Philox uniform (each at least 2^-53) puts a draw of a q >= 0
-    kernel that close to the radius.
+    For every q, lane k equals ``blocks`` successive
+    ``sample_vector(rngs[k], qs[k], dim)`` calls bit for bit and reads
+    exactly 2 * blocks * dim values of its stream, so its bits do not depend
+    on how a run splits its blocks into chunks.
 
     Near q = 3, u1^(1-q') can overflow; then ConvergenceError names q, dim
     and the count of infinite draws, and nothing is returned.
@@ -195,10 +168,6 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
         if q > 1.0 and not np.isfinite(z).all():
             bad = z.size - np.count_nonzero(np.isfinite(z))
             raise ConvergenceError(f"q={q!r} in dim {dim}: {bad} of {z.size} draws overflowed to infinity")
-        if q < 1.0:
-            near = _near_radius(z, QGaussianSpec(q).radius).any(axis=(0, 2))
-            for i in np.flatnonzero(near).tolist():
-                _redraw_near_radius(rngs[ks[i]], q, z[:, i])
         out[:, ks] = z
     return out
 

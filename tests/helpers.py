@@ -2,15 +2,14 @@
 
 The references are written out from the paper's formulas and the documented
 read order, not from the package's code paths: whole-array expressions for
-the generalized Box-Muller draws and their support-boundary redraw, and the
-two-timescale loop as one ndarray update per block.
+the generalized Box-Muller draws, each value drawn once from two uniforms,
+and the two-timescale loop as one ndarray update per block.
 """
 
 import math
 
 import numpy as np
 
-from qsf import qgauss
 from qsf.errors import DivergenceError
 from qsf.optimizer import _CHUNK, IterationRecord, RunTrace, project, step_size_a, step_size_b
 from qsf.rng import RngStream
@@ -67,33 +66,10 @@ def reference_box_muller(rng, q, k):
     return np.sqrt(r2) * np.cos(2.0 * math.pi * u2)
 
 
-def reference_redraw(rng, q, z):
-    """The support-boundary rule on the flat array z: for q < 1, every value
-    within the margin of the radius is redrawn, in flat order, from the
-    uniforms ``rng`` reads next, until none is left."""
-    if q >= 1.0:
-        return z
-    radius = math.sqrt((3.0 - q) / (1.0 - q))
-    pending = (radius - np.abs(z) < qgauss.BOUNDARY_MARGIN).nonzero()[0]
-    while pending.size:
-        redraw = reference_box_muller(rng, q, pending.size)
-        z[pending] = redraw
-        pending = pending[radius - np.abs(redraw) < qgauss.BOUNDARY_MARGIN]
-    return z
-
-
-def reference_sample_batch(rng, q, n):
-    """The sampler as whole-array steps: the transform and the boundary test
-    each on all n values at once."""
-    return reference_redraw(rng, q, reference_box_muller(rng, q, n))
-
-
 def reference_lane(rng, q, dim, blocks):
     """One lane's chunk, shaped (blocks, dim): each block reads dim values of
-    u1 then dim of u2, and once the whole chunk is drawn its boundary values
-    are redrawn from the uniforms after it."""
-    z = np.concatenate([reference_box_muller(rng, q, dim) for _ in range(blocks)])
-    return reference_redraw(rng, q, z).reshape(blocks, dim)
+    u1 then dim of u2."""
+    return np.array([reference_box_muller(rng, q, dim) for _ in range(blocks)])
 
 
 def ndarray_loop(system, cfg, sample_q, weighted, frozen_theta=None):

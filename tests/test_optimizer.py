@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from qsf.optimizer import (
     step_size_b,
 )
 from qsf.oracles import lambda_q, smoothed_gradient_1d
-from qsf.qgauss import QGaussianSpec, sample_lanes
+from qsf.qgauss import QGaussianSpec
 from qsf.queuesim import QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream
 from helpers import HeadStream, ndarray_loop
@@ -426,7 +427,7 @@ def lane_cfg(q, beta, seed, m=150):
     # Uniforms for 40 blocks in dim 4: an exact zero in block 3, which the
     # stream's reader skips, and for q < 1 a draw on the support radius in
     # block 6 (u1 -> 0, u2 = 1/2 give |z| = sqrt((3-q)/(1-q))), which the
-    # lane redraws from the uniforms after its chunk.
+    # lane keeps.
     raw = np.random.default_rng(seed).uniform(0.05, 0.95, (40, 2, 4))
     raw[3, 1, 2] = 0.0
     if q < 1.0:
@@ -446,21 +447,11 @@ def replay(result):
     return run
 
 
-def test_lanes_match_one_lane_runs_bitwise(monkeypatch):
+def test_lanes_match_one_lane_runs_bitwise():
     cells = [(q, beta) for q in LANE_QS for beta in (0.25, 2.5)]
     cfgs = [lane_cfg(q, beta, 50 + i) for i, (q, beta) in enumerate(cells)]
-    redrawn = set()  # the seeds of the lanes that redraw a boundary value
-    redraw = qgauss._redraw_near_radius
-
-    def counted(rng, q, z):
-        redrawn.add(rng.seed)
-        return redraw(rng, q, z)
-
-    monkeypatch.setattr(qgauss, "_redraw_near_radius", counted)
     lanes = run_lanes([fresh_network(i) for i in range(len(cfgs))], cfgs[0],
                       [(c.q, c.beta, c.seed) for c in cfgs], keep_records=True)
-    monkeypatch.setattr(qgauss, "_redraw_near_radius", redraw)
-    assert redrawn == {cfg.seed.seed for cfg in cfgs if cfg.q < 1.0}  # the boundary lanes
     for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
         got = outcome(replay(lane))
         assert got[0] == "ran" and len(got[3]) == cfg.num_iterations + 1
@@ -468,29 +459,31 @@ def test_lanes_match_one_lane_runs_bitwise(monkeypatch):
         assert got == outcome(lambda: ndarray_loop(fresh_network(i), cfg, cfg.q, True))
 
 
-def test_a_negative_q_lane_redraws_from_after_its_chunk():
-    # q = -1 in a 40-block run, so one chunk of 40 blocks: the chunk's
-    # transform, save its one boundary value, which is redrawn from the two
-    # uniforms after the chunk, u1 then u2. The lane, run beside a q = 1.5
-    # lane, equals its one-lane run and the reference loop.
-    cfgs = [lane_cfg(-1.0, 0.25, 90, m=40), lane_cfg(1.5, 0.25, 91, m=40)]
-    q, radius = cfgs[0].q, QGaussianSpec(cfgs[0].q).radius
-    etas = sample_lanes([cfgs[0].seed.child("perturbation")], [q], 4, 40)[:, 0]
-    stream = cfgs[0].seed.child("perturbation")
-    u = stream.random_array(40 * 2 * 4).reshape(40, 2, 4)
-    want = qgauss._box_muller_transform(u[:, 0].copy(), u[:, 1].copy(), q)
-    edge = np.flatnonzero(radius - np.abs(want) < qgauss.BOUNDARY_MARGIN).tolist()
-    assert edge == [6 * 4]  # block 6, its first component once block 3's zero is skipped
-    want[6, 0] = qgauss._box_muller_transform(stream.random_array(1), stream.random_array(1), q)[0]
-    assert etas.tobytes() == want.tobytes()
-    assert abs(etas[6, 0]) < radius - qgauss.BOUNDARY_MARGIN
-    lanes = run_lanes([fresh_network(i) for i in range(2)], cfgs[0],
-                      [(c.q, c.beta, c.seed) for c in cfgs], keep_records=True)
-    for i, (cfg, lane) in enumerate(zip(cfgs, lanes)):
-        got = outcome(replay(lane))
-        assert got[0] == "ran" and len(got[3]) == 41
-        assert got == outcome(lambda: run_qsf(fresh_network(i), cfg))
-        assert got == outcome(lambda: ndarray_loop(fresh_network(i), cfg, cfg.q, True))
+class FiniteRowSystem(QuadraticSystem):
+    """A quadratic system whose batch install refuses a non-finite row."""
+
+    @staticmethod
+    def set_parameters(systems, thetas):
+        assert np.isfinite(thetas).all(), thetas
+        for system, theta in zip(systems, thetas):
+            system.set_parameter(theta)
+
+
+@pytest.mark.parametrize("q", [-1.0, -1e6])
+def test_an_extreme_draw_of_a_negative_q_is_stopped_by_the_guard(q):
+    # The first draw is the most extreme Philox can give, u1 = 2^-53 with
+    # u2 = 1/2: |eta| lies within 1e-15 of the radius, and the lane keeps
+    # it. Its weight, about 4.5e15 in size, takes the tracker past the band
+    # at iteration 0, with no NumPy warning and no non-finite row installed.
+    cfg = replace(make_cfg(q=q, m=64), seed=ScriptedSeed(5, [2.0**-53, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run_qsf(FiniteRowSystem(), cfg)
+    assert err.value.iteration == 0
+    eta = err.value.perturbation
+    assert abs(eta[0]) == pytest.approx(QGaussianSpec(q).radius, rel=1e-14)
+    assert abs(1.0 / qgauss.weight_base(eta @ eta, q)) > 1e15
 
 
 class BlowUpNetwork(QueueNetwork):

@@ -35,7 +35,6 @@ from helpers import (
     ScriptedGenerator,
     reference_box_muller,
     reference_lane,
-    reference_sample_batch,
     scripted_stream,
 )
 
@@ -285,19 +284,7 @@ class ScriptedUniforms:
         return out
 
 
-def test_boundary_draws_are_redrawn_in_place():
-    # u1 -> 0 with cos(2 pi u2) = -1 lands on the q = 0 support radius sqrt(3)
-    radius = QGaussianSpec(0.0).radius
-    rng = HeadStream(0, [0.3, 1e-300, 0.7, 0.1, 0.5, 0.9, 0.4, 0.2])
-    z = sample_batch(rng, 0.0, 3)
-    assert not len(rng.head) and rng._gen is None  # the redraw read the head's last two
-    first = sample_batch(HeadStream(0, [0.3, 0.7, 0.1, 0.9]), 0.0, 2)
-    redraw = sample_batch(HeadStream(0, [0.4, 0.2]), 0.0, 1)
-    assert np.array_equal(z, [first[0], redraw[0], first[1]])
-    assert np.all(np.abs(z) < radius)
-
-
-# The crafted-zero tests below put exact zeros and boundary draws on both
+# The crafted-zero tests below put exact zeros and on-radius draws on both
 # sides of multiples of EDGE values, where a sampler that read its uniforms
 # in blocks of that size would split them.
 EDGE = 65536
@@ -308,7 +295,7 @@ def test_blocked_sampler_equals_whole_array_reference(q):
     # n spans three edges and a bit. Exact zeros sit on the last value of
     # u1 before its first edge and the first of u2 after its first edge. For
     # q < 1, u1 = 1e-300 with u2 = 0.5 puts |z| on the support radius on both
-    # sides of the second edge, and the first redraw lands there again.
+    # sides of the second edge, where it is kept as the reference keeps it.
     b = EDGE
     n = 3 * b + 123
     values = RngStream(65).random_array(2 * n + 12)
@@ -319,31 +306,31 @@ def test_blocked_sampler_equals_whole_array_reference(q):
     if q < 1.0:  # indices 2b - 1 and 2b of u1 and u2 once the zeros are skipped
         u1[2 * b : 2 * b + 2] = 1e-300
         u2[2 * b : 2 * b + 2] = 0.5
-        values[2 * n + 2], values[2 * n + 4] = 1e-300, 0.5  # the first redraw of u1[2b - 1]
     got_stream, want_stream = scripted_stream(values), scripted_stream(values)
     got = sample_batch(got_stream, q, n)
-    want = reference_sample_batch(want_stream, q, n)
+    want = reference_box_muller(want_stream, q, n)
     assert got.tobytes() == want.tobytes()
     assert got_stream._gen.values == want_stream._gen.values
-    # two top-ups, then for q < 1 redraws of two values and of one
-    assert len(got_stream._gen.values) == (10 if q >= 1.0 else 4)
-    if q < 1.0:
-        assert np.all(np.abs(got) < QGaussianSpec(q).radius - qgauss.BOUNDARY_MARGIN)
+    assert len(got_stream._gen.values) == 10  # two top-ups, for every q
 
 
 def assert_sampler_matches_reference(q, n, values, head=()):
     """sample_batch on a stream that reads ``head``, then ``values``, equals
-    reference_sample_batch on the same stream, bit for bit, and leaves the
+    reference_box_muller on the same stream, bit for bit, and leaves the
     same values unread."""
     got_stream, want_stream = HeadStream(0, head), HeadStream(0, head)
     for s in (got_stream, want_stream):
         s._gen = ScriptedGenerator(values)
     got = sample_batch(got_stream, q, n)
-    want = reference_sample_batch(want_stream, q, n)
+    want = reference_box_muller(want_stream, q, n)
     assert got.tobytes() == want.tobytes()
     assert got_stream.head.tobytes() == want_stream.head.tobytes()
     assert got_stream._gen.values == want_stream._gen.values
     return got_stream
+
+
+# The sample_batch cases below keep the names they had when sample_batch
+# streamed its uniforms; the "unread values" are a HeadStream's head.
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.5])
@@ -574,45 +561,25 @@ def boundary_head(q, dim, k, seed=64):
     raw[k, 0, dim - 1], raw[k, 1, dim - 1] = 1e-300, 0.5
     # copies: the transform overwrites its arguments
     z_edge = qgauss._box_muller_transform(raw[k, 0].copy(), raw[k, 1].copy(), q)
-    assert QGaussianSpec(q).radius - abs(z_edge[-1]) < qgauss.BOUNDARY_MARGIN
+    assert abs(z_edge[-1]) == pytest.approx(QGaussianSpec(q).radius, rel=1e-15)
     return raw.ravel(), z_edge[-1]
-
-
-@pytest.mark.parametrize("dim", [1, 4])
-def test_sample_vectors_boundary_redraw_mid_chunk(dim):
-    # at q = 0.5 the radius is sqrt(5). The lane redraws the boundary value
-    # from the two uniforms after its chunk, u1 then u2, and keeps every
-    # other value of the chunk's transform; so it equals the chunked
-    # reference, not per-block sample_vector calls, which redraw mid-chunk
-    q, k = 0.5, 6
-    head, z_edge = boundary_head(q, dim, k)
-    one_lane(lambda: scripted_head(head), q, dim, 60, reference=reference_lane)
-    got = sample_lanes([scripted_head(head)], [q], dim, 64)[:, 0]
-    assert np.all(np.abs(got[k]) < QGaussianSpec(q).radius - qgauss.BOUNDARY_MARGIN)
-    stream = scripted_head(head)
-    u = stream.random_array(64 * 2 * dim).reshape(64, 2, dim)
-    want = qgauss._box_muller_transform(u[:, 0].copy(), u[:, 1].copy(), q)
-    assert want[k, -1] == z_edge
-    want[k, -1] = qgauss._box_muller_transform(stream.random_array(1), stream.random_array(1), q)[0]
-    assert got.tobytes() == want.tobytes() and got[k, -1] != z_edge
-    assert got.tobytes() != sample_vector_blocks(scripted_head(head), q, dim, 64).tobytes()
-    # a one-block chunk redraws as sample_vector does
-    block = head[2 * dim * k :]
-    one = sample_lanes([scripted_head(block)], [q], dim, 1)[0, 0]
-    assert one.tobytes() == sample_vector(scripted_head(block), q, dim).tobytes()
 
 
 @pytest.mark.parametrize("q", [q for q in PAPER_Q_GRID if q < 1.0])
 def test_no_philox_uniform_draws_within_the_boundary_margin(q):
     # Philox uniforms are multiples of 2^-53, so u1 = 2^-53 is the smallest
     # the stream's reader returns and gives the largest |z|; with u2 = 2^-53
-    # or 1/2, |cos(2 pi u2)| = 1. Even that draw lies more than the margin
-    # inside the radius, so the redraw cannot fire on the paper grid.
+    # or 1/2, |cos(2 pi u2)| = 1. Even that draw lies strictly inside the
+    # radius: its bracket weight_base(z^2, q), which is u1^(1-q') in exact
+    # arithmetic, is positive, so its weight is finite and positive.
     tiny = 2.0**-53
+    q_prime = (1.0 + q) / (3.0 - q)
     for u2 in (tiny, 0.5):
         assert abs(math.cos(2.0 * math.pi * u2)) == 1.0
         z = qgauss._box_muller_transform(np.array([tiny]), np.array([u2]), q)
-        assert QGaussianSpec(q).radius - abs(z[0]) > qgauss.BOUNDARY_MARGIN
+        base = qgauss.weight_base(z[0] * z[0], q)
+        assert base > 0.0 and math.isfinite(1.0 / base)
+        assert base == pytest.approx(tiny ** (1.0 - q_prime), rel=1e-3)
 
 
 @pytest.mark.parametrize("dim", [1, 4])
@@ -630,7 +597,7 @@ def test_sample_lanes_paper_grid_in_one_batch(dim):
 @pytest.mark.parametrize("dim", [1, 4])
 def test_sample_lanes_equal_the_out_of_place_reference(dim):
     # the paper grid as lanes of one batch: each lane equals as many
-    # successive reference_sample_batch calls, one per block, on an identical
+    # successive reference_box_muller calls, one per block, on an identical
     # stream, bit for bit; the in-place transform that sample_lanes and
     # sample_vector share is checked against the whole-array expression
     qs = list(PAPER_Q_GRID)
@@ -639,7 +606,7 @@ def test_sample_lanes_equal_the_out_of_place_reference(dim):
     for blocks in (64, 9):
         got = sample_lanes(lanes, qs, dim, blocks)
         for k, q in enumerate(qs):
-            want = np.array([reference_sample_batch(single[k], q, dim) for _ in range(blocks)])
+            want = np.array([reference_box_muller(single[k], q, dim) for _ in range(blocks)])
             assert got[:, k].tobytes() == want.tobytes(), (q, dim, k)
     for a, b in zip(lanes, single):
         assert a.random_array(8).tobytes() == b.random_array(8).tobytes()
@@ -653,15 +620,14 @@ def test_box_muller_transform_works_in_its_arguments():
         a, b = u1.copy(), u2.copy()
         z = qgauss._box_muller_transform(a, b, q)
         assert z is a
-        want = reference_sample_batch(ScriptedUniforms(u1, u2), q, u1.size)
+        want = reference_box_muller(ScriptedUniforms(u1, u2), q, u1.size)
         assert z.tobytes() == want.tobytes()
 
 
-def test_sample_lanes_zero_and_boundary_lanes_mid_chunk(monkeypatch):
+def test_sample_lanes_zero_and_boundary_lanes_mid_chunk():
     # lane 1 has an exact zero in block 5 and lane 3 a support-boundary draw
-    # in block 9; only lane 3 redraws, from the uniforms after its chunk,
-    # the other lanes equal their per-block sample_vector calls, and every
-    # lane equals the chunked reference
+    # in block 9, which it keeps; every lane equals its per-block
+    # sample_vector calls and the chunked reference
     q, dim = 0.5, 4
     zero = raw_blocks(40, dim, seed=68)
     zero[5, 1, 3] = 0.0
@@ -672,22 +638,44 @@ def test_sample_lanes_zero_and_boundary_lanes_mid_chunk(monkeypatch):
         return [RngStream(70), scripted_head(zero.ravel()), RngStream(71),
                 scripted_head(edge, seed=72), RngStream(73)]
 
-    redrawn = []
-    redraw = qgauss._redraw_near_radius
-
-    def counted(rng, q, z):
-        redrawn.append(rng)
-        return redraw(rng, q, z)
-
-    lanes = streams()
-    monkeypatch.setattr(qgauss, "_redraw_near_radius", counted)
-    got = sample_lanes(lanes, qs, dim, 64)
-    assert redrawn == [lanes[3]]
-    monkeypatch.setattr(qgauss, "_redraw_near_radius", redraw)
+    got = sample_lanes(streams(), qs, dim, 64)
+    assert abs(got[9, 3, -1]) == pytest.approx(QGaussianSpec(q).radius, rel=1e-15)
     for k, stream in enumerate(streams()):
         want = sample_vector_blocks(stream, qs[k], dim, 64)
-        assert (got[:, k].tobytes() == want.tobytes()) == (k != 3), k
+        assert got[:, k].tobytes() == want.tobytes(), k
     assert_lanes_match(streams, qs, dim, (64, 30), reference=reference_lane)
+
+
+CHUNK_QS = (-1e6, -3.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.5)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_sample_lanes_reads_two_values_a_draw_whatever_the_chunk(dim):
+    # every q on a Philox stream, and each q < 1 on a stream whose first
+    # block puts its first component on the support radius (u1 = 1e-300,
+    # u2 = 0.5): one 64-block call equals two 32-block calls bit for bit,
+    # and leaves each stream on value 2 * 64 * dim of its sequence, the
+    # head's values then the generator's nonzero ones
+    head = np.full(2 * dim, 0.3)
+    head[0], head[dim] = 1e-300, 0.5
+    qs = list(CHUNK_QS) + [q for q in CHUNK_QS if q < 1.0]
+
+    def streams():
+        return [RngStream(81, k) if k < len(CHUNK_QS) else HeadStream(81, head, k)
+                for k in range(len(qs))]
+
+    whole, halves = streams(), streams()
+    got = sample_lanes(whole, qs, dim, 64)
+    want = np.concatenate([sample_lanes(halves, qs, dim, 32) for _ in range(2)])
+    assert got.tobytes() == want.tobytes()
+    for k, q in enumerate(qs):
+        if k >= len(CHUNK_QS):
+            assert abs(got[0, k, 0]) == pytest.approx(QGaussianSpec(q).radius, rel=1e-15)
+        gen = RngStream(81, k)._generator().random(2 * 64 * dim + 8)
+        sequence = np.concatenate((head, gen) if k >= len(CHUNK_QS) else (gen,))
+        sequence = sequence[sequence > 0.0]
+        for stream in (whole[k], halves[k]):
+            assert stream.random() == sequence[2 * 64 * dim], (q, k)
 
 
 def test_sample_lanes_after_a_dropped_lane():

@@ -428,6 +428,7 @@ def test_escort_identity_monomials(q, power):
         pytest.param(lambda x: x**3, 2.0, id="x^3-2.0"),
         pytest.param(lambda x: x**3 + 1.0, 2.0, id="x^3+1-2.0"),
         pytest.param(lambda x: x**5, 1.5, id="x^5-1.5"),
+        pytest.param(lambda x: x**5, 2.0, id="x^5-2.0"),
         pytest.param(lambda x: abs(x) ** 3, 2.0, id="|x|^3-2.0"),
         pytest.param(lambda x: abs(x) ** 3, 2.5, id="|x|^3-2.5"),
     ],
@@ -435,9 +436,13 @@ def test_escort_identity_monomials(q, power):
 def test_escort_identity_refuses_divergent_pairs(f, q):
     # more pairs like (x^4, q = 2) of test_escort_identity_monomials: a tail
     # with no finite integral makes QUADPACK warn, which the checked
-    # quadrature turns into QuadratureError, so the check returns no number
+    # quadrature turns into QuadratureError, so the check returns no number.
+    # The escort side alone refuses too: it integrates each half-line apart,
+    # where one call over the whole line lets an odd term's tails cancel.
     with pytest.raises(QuadratureError, match="did not converge"):
         escort_identity_check(f, q)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        q_expectation(f, QGaussianSpec(q))
 
 
 def test_escort_identity_dim2():
