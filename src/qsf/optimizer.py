@@ -214,7 +214,13 @@ def run_lanes(systems: list, settings: OptimizerSettings, lanes: list, *,
         # dim), with everything about them that does not depend on theta.
         etas = sample_lanes(rngs, qs, dim, min(_CHUNK, m - n))
         bs = [step_size_b(i) for i in range(n, n + len(etas))]
-        w = 1.0 / weight_base(np.vecdot(etas, etas), np.array(qs))
+        # A value on the support radius (only q < 0 reaches it) has a zero
+        # bracket. Its weight is NaN, not 1/0, so its tracker update is NaN
+        # with no NumPy warning whatever the block's costs (1/0 warns, and so
+        # would inf * 0 at a zero cost sum); the guard drops the lane there.
+        wb = weight_base(np.vecdot(etas, etas), np.array(qs))
+        wb[wb == 0.0] = np.nan
+        w = 1.0 / wb
         gains = (np.array(bs)[:, None] * w / beta)[..., None]
         shifts = beta[:, None] * etas
         for j, b in enumerate(bs):

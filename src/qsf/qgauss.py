@@ -172,7 +172,8 @@ def sample_lanes(rngs: list, qs: list, dim: int, blocks: int) -> np.ndarray:
     return out
 
 
-def sample_matrix(rng: RngStream, q: float, rows: int, dim: int) -> np.ndarray:
+def sample_matrix(rng: RngStream, q: float, rows: int, dim: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """(rows, dim) array of draws from the joint standard dim-variate kernel.
 
     Each row is a Gaussian g ~ N(0, I_dim) scaled by one Gamma variate, the
@@ -186,9 +187,16 @@ def sample_matrix(rng: RngStream, q: float, rows: int, dim: int) -> np.ndarray:
     variates. For q < 1 every row lies strictly inside the support. Near
     q = 1 + 2/dim a Gamma variate can underflow so far that a row's scale
     is infinite; then ConvergenceError names q, dim and the row count.
+
+    Given ``out``, a C-contiguous float64 array of shape (rows, dim), the
+    normals are drawn into it and scaled there, and ``out`` is returned: the
+    same bits and the same stream position as a call without it.
     """
     QGaussianSpec(q, 1.0, dim)
-    g = rng.normal(rows * dim).reshape(rows, dim)
+    g = np.empty((rows, dim)) if out is None else out
+    if g.shape != (rows, dim) or not g.flags.c_contiguous:  # so the reshape is a view
+        raise ValueError(f"out must be C-contiguous of shape ({rows}, {dim}), got {g.shape}")
+    rng.normal(rows * dim, out=g.reshape(rows * dim))
     if q == 1.0:
         return g
     if q < 1.0:

@@ -72,8 +72,11 @@ def estimate_gradient(
     z * f * w / beta are formed one block of ``BLOCK_ROWS`` rows at a time;
     each block's mean and squared deviations are merged into running ones
     (Chan, Golub & LeVeque 1979) and the block is dropped, so no array of
-    more than ``BLOCK_ROWS`` rows is held. ``f`` is evaluated once at each
-    perturbed point, in row order (it may be a noisy oracle): pass
+    more than ``BLOCK_ROWS`` rows is held. Every block is drawn into one
+    buffer of min(BLOCK_ROWS, M) rows per call, where its terms are formed;
+    the points are a fresh array for each block, so ``f`` may keep the
+    array it is passed. ``f`` is evaluated once at each perturbed point,
+    in row order (it may be a noisy oracle): pass
     ``vectorized=True`` when f maps an (n, dim) array to n values, shape
     (n,), and it is called once per block; any other shape raises
     ValueError, and the array it returns is read, never written. A theta
@@ -90,9 +93,12 @@ def estimate_gradient(
     m = cfg.num_perturbations
     mean = np.zeros(cfg.dim)
     m2 = np.zeros(cfg.dim)  # sum of squared deviations from mean
+    # Every block is drawn into this one buffer, so its memory is not handed
+    # back to the system and faulted in again between blocks.
+    draws = np.empty((min(BLOCK_ROWS, m), cfg.dim))
     for n in range(0, m, BLOCK_ROWS):  # n rows merged so far
         rows = min(BLOCK_ROWS, m - n)
-        terms = sample_matrix(rng, cfg.q, rows, cfg.dim)
+        terms = sample_matrix(rng, cfg.q, rows, cfg.dim, out=draws[:rows])
         pts = cfg.beta * terms
         pts += theta
         if vectorized:
@@ -117,6 +123,6 @@ def estimate_gradient(
         delta = block_mean - mean
         mean += delta * share
         m2 += np.einsum("ij,ij->j", terms, terms) + delta * delta * (n * share)
-        del terms, fv, w  # before the next block is drawn
+        del fv, w  # before the next block is drawn
     stderr = np.sqrt(m2 / m) / math.sqrt(m)  # ddof 0
     return GradEstimate(value=mean, stderr=stderr)

@@ -26,7 +26,7 @@ from qsf.oracles import lambda_q, smoothed_gradient_1d
 from qsf.qgauss import QGaussianSpec
 from qsf.queuesim import QueueNetwork, QueueNetworkConfig
 from qsf.rng import RngStream
-from helpers import HeadStream, ndarray_loop
+from helpers import HeadStream, ndarray_loop, scripted_stream
 from test_qgauss import BAD_BETA, BAD_Q
 
 
@@ -484,6 +484,26 @@ def test_an_extreme_draw_of_a_negative_q_is_stopped_by_the_guard(q):
     eta = err.value.perturbation
     assert abs(eta[0]) == pytest.approx(QGaussianSpec(q).radius, rel=1e-14)
     assert abs(1.0 / qgauss.weight_base(eta @ eta, q)) > 1e15
+
+
+@pytest.mark.parametrize("cost", [3.0, 0.0])
+def test_a_draw_on_the_support_radius_is_stopped_by_the_guard_without_a_warning(cost):
+    # u1 = 2^-53 with u2 = 1/2 puts a dim-1 value of many q < 0 exactly on
+    # the radius; a search over q in [-50, 0) found -49.975 to be one. The
+    # bracket is 0 there, so the weight would be 1/0, and with a zero cost
+    # the tracker update would take inf * 0. The guard drops the lane at
+    # iteration 0, and NumPy warns of neither.
+    q = -49.975
+    eta = qgauss.sample_batch(scripted_stream([2.0**-53, 0.5]), q, 1)
+    assert qgauss.weight_base(eta @ eta, q) == 0.0
+    cfg = replace(make_cfg(q=q, m=1, ell=1), seed=ScriptedSeed(5, [2.0**-53, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run_qsf(ConstantSystem(cost), cfg)
+    assert err.value.iteration == 0
+    assert err.value.perturbation.tobytes() == eta.tobytes()
+    assert not np.isfinite(err.value.z).any()
 
 
 class BlowUpNetwork(QueueNetwork):

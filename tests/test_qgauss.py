@@ -404,6 +404,26 @@ def test_sample_matrix_matches_the_philox_reference(q, dim):
     assert rng.random_array(4).tobytes() == gen.random(4).tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("q", [-1.0, 0.5, 1.0, 1.2])
+def test_sample_matrix_draws_into_out_with_the_bits_of_a_fresh_array(q, dim):
+    # two calls into row slices of one buffer, as the estimator's blocks
+    # are drawn, against two calls without it on a stream of the same key
+    buf = np.full((1000, dim), np.nan)
+    got_rng, want_rng = RngStream(8, dim), RngStream(8, dim)
+    for rows in (1000, 17):
+        got = sample_matrix(got_rng, q, rows, dim, out=buf[:rows])
+        assert got.shape == (rows, dim) and np.shares_memory(got, buf)
+        assert got.tobytes() == sample_matrix(want_rng, q, rows, dim).tobytes()
+    assert got_rng.random() == want_rng.random()
+    # an out of another shape, or one the draws could not fill in place, is
+    # refused before any draw
+    for out in (np.empty((rows, dim + 1)), np.empty((rows, 2 * dim))[:, ::2]):
+        with pytest.raises(ValueError, match=f"out must be C-contiguous of shape \\({rows}, {dim}\\)"):
+            sample_matrix(got_rng, q, rows, dim, out=out)
+    assert got_rng.random() == want_rng.random()
+
+
 def test_sample_vector_matches_batch_distribution():
     rng = RngStream(7)
     v = sample_vector(rng, 0.5, 6)
