@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from .errors import QuadratureError
-from .qgauss import QGaussianSpec, max_normalizable_q, sample_batch, sample_matrix, weight_base
+from .qgauss import QGaussianSpec, max_normalizable_q, sample_batch, sample_matrix, squared_norm, weight_base
 from .rng import RngStream
 
 ABS_TOL = 1e-10
@@ -426,7 +426,7 @@ def qgauss_invariants(q: float, beta: float, dims: list[int], rng: RngStream) ->
         mass = radial_integral(lambda r: radial_pdf(r * r, spec), dim, spec.radius)
         checks.append((f"normalization {label}", abs(mass - 1.0) < 1e-6, f"mass={mass:.9f}"))
         eta = sample_matrix(rng.child("radial-ks", str(q), str(beta), dim), q, 20000, dim)
-        ks = stats.kstest(np.einsum("ij,ij->i", eta, eta),
+        ks = stats.kstest(squared_norm(eta),
                           lambda r2: radial_cdf(r2, QGaussianSpec(q, 1.0, dim)))
         checks.append((radial, ks.pvalue > 0.01, f"D={ks.statistic:.5f} p={ks.pvalue:.4f}"))
     # scale identity against the standard density

@@ -12,7 +12,9 @@ q-variance (the second moment under the escort density p^q / int p^q), not
 the ordinary variance.
 
 :func:`sample_matrix`, the estimator's sampler, draws the joint N-variate
-law: a Gaussian vector scaled by one Gamma variate per row. The lanes'
+law: a Gaussian vector scaled by one Gamma variate per row. It holds the
+draws dim-major, in a C-contiguous (N, rows) array (``out``, when given),
+and returns its (rows, N) transpose. The lanes'
 sampler, :func:`sample_lanes`, uses the generalized Box-Muller transform:
 with q' = (1+q)/(3-q) and the q'-logarithm ln_q'(u) = (u^(1-q') - 1)/(1-q')
 (ln u at q' = 1),
@@ -31,6 +33,8 @@ Z_GUARD drops the lane. Density evaluation lives in qsf.oracles.
 :func:`weight_base` is the one copy of the bracket 1 - (1-q)/((3-q) beta^2) |x|^2:
 the density raises it to 1/(1-q), and the estimator weight of qsf.sfgrad and
 qsf.optimizer is its reciprocal at beta = 1, w(eta) = 1 / weight_base(|eta|^2, q).
+:func:`squared_norm` gives |x|^2 row by row in a fixed order, so its bits
+do not depend on an array's layout or on the CPU's kernels.
 
 :class:`QGaussianSpec` holds the kernel's rules: every (q, beta, N) that the
 package takes is checked by building one.
@@ -91,6 +95,18 @@ def weight_base(r2, q, beta: float = 1.0, *, out=None):
         return 1.0 - c * r2
     np.multiply(r2, c, out=out)
     return np.subtract(1.0, out, out=out)
+
+
+def squared_norm(x: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row of x, shape (..., dim), summed left to right:
+    x[..., 0]*x[..., 0] + x[..., 1]*x[..., 1] + ..., one IEEE product and
+    one add at a time. Each row gets the bits of that Python sum whatever
+    the array's layout (a dim-major array's columns are contiguous), and a
+    NaN or an infinity passes through."""
+    r2 = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        r2 += x[..., j] * x[..., j]
+    return r2
 
 
 def max_normalizable_q(dim: int) -> float:
@@ -183,26 +199,31 @@ def sample_matrix(rng: RngStream, q: float, rows: int, dim: int,
         q = 1:  g
         q > 1:  g sqrt((3-q)/((q-1) V)),                V = 2 Gamma(1/(q-1) - dim/2)
 
-    The stream gives the rows * dim normals first, then the rows Gamma
-    variates. For q < 1 every row lies strictly inside the support. Near
-    q = 1 + 2/dim a Gamma variate can underflow so far that a row's scale
-    is infinite; then ConvergenceError names q, dim and the row count.
+    The stream gives the rows * dim normals first, row after row, then the
+    rows Gamma variates. For q < 1 every row lies strictly inside the
+    support. Near q = 1 + 2/dim a Gamma variate can underflow so far that a
+    row's scale is infinite; then ConvergenceError names q, dim and the row
+    count.
 
-    Given ``out``, a C-contiguous float64 array of shape (rows, dim), the
-    normals are drawn into it and scaled there, and ``out`` is returned: the
-    same bits and the same stream position as a call without it.
+    The draws are held dim-major: the result is the transpose of a
+    C-contiguous (dim, rows) array, so each component's values are
+    contiguous and every row-wise step is a few vector operations. Given
+    ``out``, a C-contiguous float64 array of shape (dim, rows), the draws
+    are made there and ``out.T`` is returned: the same bits and the same
+    stream position as a call without it. The normals are drawn row-major
+    into a block of their own and copied across once.
     """
     QGaussianSpec(q, 1.0, dim)
-    g = np.empty((rows, dim)) if out is None else out
-    if g.shape != (rows, dim) or not g.flags.c_contiguous:  # so the reshape is a view
-        raise ValueError(f"out must be C-contiguous of shape ({rows}, {dim}), got {g.shape}")
-    rng.normal(rows * dim, out=g.reshape(rows * dim))
+    z = np.empty((dim, rows)) if out is None else out
+    if z.shape != (dim, rows) or not z.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous of shape ({dim}, {rows}), got {z.shape}")
+    z[...] = rng.normal(rows * dim).reshape(rows, dim).T
     if q == 1.0:
-        return g
+        return z.T
     if q < 1.0:
         s = rng.gamma((2.0 - q) / (1.0 - q), rows)
         s *= 2.0
-        s += np.einsum("ij,ij->i", g, g)
+        s += squared_norm(z.T)
         np.divide((3.0 - q) / (1.0 - q), s, out=s)
     else:
         s = rng.gamma(1.0 / (q - 1.0) - dim / 2.0, rows)
@@ -216,5 +237,5 @@ def sample_matrix(rng: RngStream, q: float, rows: int, dim: int,
                 " underflowed, so their scale is infinite"
             )
     np.sqrt(s, out=s)
-    g *= s[:, None]
-    return g
+    z *= s
+    return z.T

@@ -66,6 +66,8 @@ class QueueNetworkConfig:
         target = np.ones(dim) if self.theta_target is None else np.asarray(self.theta_target, float)
         if target.shape != (dim,):
             raise ValueError(f"theta_target must have shape ({dim},), got {target.shape}")
+        if not np.all(np.isfinite(target)):
+            raise ValueError(f"theta_target must be finite, got {target.tolist()}")
         object.__setattr__(self, "theta_target", target)
 
     @property
@@ -127,7 +129,11 @@ class QueueNetwork:
         self._route = rng.child("routing")
         self._ahead = tuple(array("d") for _ in range(5))  # indexed by _ARR1 ... _ROUTE
         self._chunks = [_FIRST_CHUNK] * 5  # the next refill's size, per stream
-        self.set_parameter(config.theta_target)
+        # theta_target itself, as set_parameter would install it: a zero
+        # gap gives the scales (1 + 0) / R
+        self._theta = config.theta_target.copy()
+        self._scale1 = 1.0 / config.R1
+        self._scale2 = 1.0 / config.R2
         self._lambda1 = config.lambda1
         self._lambda2 = config.lambda2
         self._p_exit = config.p_exit

@@ -95,12 +95,10 @@ class RngStream:
             self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
         return self._gen
 
-    def normal(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal variates, read from the generator after every
-        earlier draw, by NumPy's ziggurat: no cosine and no SIMD ufunc. Given
-        ``out``, a C-contiguous float64 array of shape (n,), they are written
-        into it and it is returned: the same values, with no new array."""
-        return self._generator().standard_normal(n, out=out)
+        earlier draw, by NumPy's ziggurat: no cosine and no SIMD ufunc."""
+        return self._generator().standard_normal(n)
 
     def gamma(self, shape: float, n: int) -> np.ndarray:
         """``n`` standard Gamma(shape) variates, read from the generator after

@@ -7,6 +7,7 @@ import pytest
 from qsf.errors import ConfigError, ConvergenceError
 from qsf.harness import (
     LANE_BATCH,
+    _build,
     ExperimentConfig,
     OptimizerSettings,
     SweepResult,
@@ -78,6 +79,13 @@ def test_config_rejects_q_of_three_or_more(tmp_path):
             ExperimentConfig(beta_values=(beta,))
 
 
+def test_config_built_in_code_names_a_non_finite_theta_target():
+    # past the JSON checks, the network config's own check is reported by
+    # its key path, as load_config reports it
+    with pytest.raises(ConfigError, match=r"network\.theta_target must be finite, got \[1\.0, nan"):
+        _build(QueueNetworkConfig, "network", {"theta_target": [1.0, math.nan, 1.0, 1.0]})
+
+
 def test_config_built_in_code_refuses_a_bad_trial_count():
     for trials in (2.5, True, 0):  # a bool is not a count
         with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
@@ -116,6 +124,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     ('{"beta_values": [0.25, 0]}', r"beta_values\[1\]: beta must be finite and > 0"),
     ('{"beta_values": [Infinity]}', r"beta_values\[0\]"),
     ('{"q_values": [-Infinity]}', r"q_values\[0\]"),
+    ('{"network": {"theta_target": [1, NaN, 1, 1]}}', r"network\.theta_target\[1\]"),
 ])
 def test_config_rejects_malformed_values_by_key(tmp_path, text, key):
     path = tmp_path / "cfg.json"

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
+
 from qsf import harness, optimizer, qgauss, sfgrad
 from qsf.queuesim import QueueNetwork
 from qsf.rng import RngStream
@@ -65,3 +67,19 @@ def test_perfbench_finds_every_name_it_uses():
         assert getattr(workloads.harness, name)
     assert workloads.run_gaussian_sf is optimizer.run_gaussian_sf
     assert "vectorized" in inspect.signature(sfgrad.estimate_gradient).parameters
+
+
+def test_perfbench_tracer_counts_every_value_the_estimator_draws():
+    # the tracer counts the size of what sample_matrix returns, by the name
+    # sfgrad calls it by: one estimate of M rows in dim 3, three full blocks
+    # and a short fourth, counts M * dim values
+    m, dim = 3 * sfgrad.BLOCK_ROWS + 5, 3
+    tracer = load_perfbench("tracer").Tracer()
+    tracer.install(SimpleNamespace())
+    try:
+        cfg = sfgrad.GradEstimatorConfig(q=0.5, beta=0.5, dim=dim, num_perturbations=m)
+        sfgrad.estimate_gradient(lambda x: x[:, 0], np.zeros(dim), cfg, RngStream(3), vectorized=True)
+    finally:
+        tracer.remove()
+    assert tracer.calls["qgauss.sample_matrix"] == 4
+    assert tracer.values["qgauss.sample_matrix"] == m * dim

@@ -27,6 +27,7 @@ from qsf.qgauss import (
     sample_matrix,
     sample_lanes,
     sample_vector,
+    squared_norm,
 )
 from qsf.harness import PAPER_Q_GRID
 from qsf.rng import RngStream
@@ -407,21 +408,55 @@ def test_sample_matrix_matches_the_philox_reference(q, dim):
 @pytest.mark.parametrize("dim", [1, 4])
 @pytest.mark.parametrize("q", [-1.0, 0.5, 1.0, 1.2])
 def test_sample_matrix_draws_into_out_with_the_bits_of_a_fresh_array(q, dim):
-    # two calls into row slices of one buffer, as the estimator's blocks
-    # are drawn, against two calls without it on a stream of the same key
-    buf = np.full((1000, dim), np.nan)
+    # two calls into (dim, rows) views of one flat buffer, as the
+    # estimator's blocks are drawn, against two calls without it on a
+    # stream of the same key
+    buf = np.full(1000 * dim, np.nan)
     got_rng, want_rng = RngStream(8, dim), RngStream(8, dim)
     for rows in (1000, 17):
-        got = sample_matrix(got_rng, q, rows, dim, out=buf[:rows])
-        assert got.shape == (rows, dim) and np.shares_memory(got, buf)
+        out = buf[: rows * dim].reshape(dim, rows)
+        got = sample_matrix(got_rng, q, rows, dim, out=out)
+        assert got.shape == (rows, dim) and np.shares_memory(got, out)
         assert got.tobytes() == sample_matrix(want_rng, q, rows, dim).tobytes()
     assert got_rng.random() == want_rng.random()
-    # an out of another shape, or one the draws could not fill in place, is
-    # refused before any draw
-    for out in (np.empty((rows, dim + 1)), np.empty((rows, 2 * dim))[:, ::2]):
-        with pytest.raises(ValueError, match=f"out must be C-contiguous of shape \\({rows}, {dim}\\)"):
+    # an out of another shape, the row-major one included, or one the draws
+    # could not fill in place, is refused before any draw
+    for out in (np.empty((dim + 1, rows)), np.empty((rows, dim)), np.empty((dim, 2 * rows))[:, ::2]):
+        with pytest.raises(ValueError, match=f"out must be C-contiguous of shape \\({dim}, {rows}\\)"):
             sample_matrix(got_rng, q, rows, dim, out=out)
     assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_sample_matrix_at_q1_is_the_philox_normals_row_by_row(dim):
+    # the dim-major draw keeps each row's stream values: at q = 1 the rows
+    # are the generator's normals in row-major order, bit for bit
+    seed, sid = 9, dim
+    rng = RngStream(seed, sid)
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | sid))
+    for rows in (1000, 3):
+        assert sample_matrix(rng, 1.0, rows, dim).tobytes() == gen.standard_normal((rows, dim)).tobytes()
+    assert rng.random_array(4).tobytes() == gen.random(4).tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_squared_norm_is_the_left_to_right_sum_of_squares(dim):
+    # every row gets the bits of the Python sum x0*x0 + x1*x1 + ... in both
+    # layouts; a NaN or an infinity in a row passes through to its sum
+    x = np.random.default_rng(dim).standard_normal((2000, dim)) * np.exp(
+        np.random.default_rng(100 + dim).uniform(-20.0, 20.0, (2000, 1)))
+    x[5, -1], x[6, 0], x[7, dim // 2] = np.nan, np.inf, -np.inf
+    want = np.array([sum_left_to_right(row) for row in x.tolist()])
+    for layout in (x, np.asfortranarray(x), np.ascontiguousarray(x.T).T):
+        assert squared_norm(layout).tobytes() == want.tobytes()
+    assert np.isnan(want[5]) and want[6] == want[7] == np.inf
+
+
+def sum_left_to_right(row):
+    total = row[0] * row[0]
+    for v in row[1:]:
+        total += v * v
+    return total
 
 
 def test_sample_vector_matches_batch_distribution():

@@ -445,6 +445,25 @@ def test_config_validation():
         QueueNetworkConfig(theta_target=np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_non_finite_theta_target(bad):
+    # the network installs its target with no check of its own, so the
+    # config is where a non-finite one is refused
+    with pytest.raises(ValueError, match=r"theta_target must be finite, got \[1\.0, 2\.0, "):
+        QueueNetworkConfig(theta_target=np.array([1.0, 2.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 3), (2, 2), (3, 1)])
+def test_network_starts_at_its_target_with_the_bits_of_an_install(n1, n2):
+    cfg = QueueNetworkConfig(N1=n1, N2=n2, R1=7.0, R2=3.0, theta_target=np.array([1.0, 0.3, 2.5, 4.0]))
+    built, installed = QueueNetwork(cfg, RngStream(19)), QueueNetwork(cfg, RngStream(19))
+    installed.set_parameter(cfg.theta_target)
+    assert (built._scale1, built._scale2) == (installed._scale1, installed._scale2) == (1.0 / 7.0, 1.0 / 3.0)
+    assert built.state.theta.tobytes() == cfg.theta_target.tobytes()
+    assert not np.shares_memory(built._theta, cfg.theta_target)
+    assert [built.step() for _ in range(500)] == [installed.step() for _ in range(500)]
+
+
 def test_count_in_service_flag():
     busy = make_net(seed=18)
     idle_counted = QueueNetwork(

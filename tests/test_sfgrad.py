@@ -18,7 +18,7 @@ from qsf.oracles import (
     smoothed_gradient_1d,
     verify_kernel_properties,
 )
-from qsf.qgauss import QGaussianSpec, sample_matrix, weight_base
+from qsf.qgauss import QGaussianSpec, sample_matrix, squared_norm, weight_base
 from qsf.rng import RngStream
 from qsf.sfgrad import BLOCK_ROWS, GradEstimatorConfig, estimate_gradient
 from test_qgauss import BAD_BETA, BAD_DIM, BAD_Q
@@ -159,7 +159,7 @@ def reference_terms(f, theta, cfg, rng, vectorized):
     terms each built on all M rows of the blocked draws at once."""
     m = cfg.num_perturbations
     zs = blocked_draws(rng, cfg.q, m, cfg.dim)
-    weights = 1.0 / (1.0 - ((1.0 - cfg.q) / (3.0 - cfg.q)) * np.einsum("ij,ij->i", zs, zs))
+    weights = 1.0 / (1.0 - ((1.0 - cfg.q) / (3.0 - cfg.q)) * squared_norm(zs))
     pts = theta[None, :] + cfg.beta * zs
     if vectorized:
         fv = np.asarray(f(pts), dtype=float)
@@ -172,22 +172,24 @@ def reference_terms(f, theta, cfg, rng, vectorized):
 
 def reference_estimate_gradient(f, theta, cfg, rng, vectorized):
     """The whole-array terms' mean and standard error, merged from the
-    moments of each BLOCK_ROWS-row block in turn (Chan, Golub & LeVeque)."""
+    moments of each BLOCK_ROWS-row block in turn (Chan, Golub & LeVeque).
+    Each block's sums run over each component's terms held contiguously,
+    in NumPy's pairwise order, as the estimator's dim-major blocks sum."""
     terms = reference_terms(f, theta, cfg, rng, vectorized)
     m = len(terms)
     mean = np.zeros(cfg.dim)
     m2 = np.zeros(cfg.dim)
     for n in range(0, m, BLOCK_ROWS):
-        block = terms[n : n + BLOCK_ROWS].copy()
-        rows = len(block)
-        block_mean = np.einsum("ij->j", block) / rows
+        block = np.ascontiguousarray(terms[n : n + BLOCK_ROWS].T)  # (dim, rows)
+        rows = block.shape[1]
+        block_mean = block.sum(axis=1) / rows
         if not np.all(np.isfinite(block_mean)):
             raise ConvergenceError(f"non-finite gradient accumulation: {block_mean!r}")
-        dev = block - block_mean
+        dev = block - block_mean[:, None]
         share = rows / (n + rows)
         delta = block_mean - mean
         mean = mean + delta * share
-        m2 = m2 + (np.einsum("ij,ij->j", dev, dev) + delta * delta * (n * share))
+        m2 = m2 + ((dev * dev).sum(axis=1) + delta * delta * (n * share))
     return mean, np.sqrt(m2 / m) / math.sqrt(m)
 
 
